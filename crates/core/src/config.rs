@@ -53,33 +53,32 @@ impl EdgeOrder {
     }
 }
 
-/// How the earliest-finish processor probe fans candidate processors
-/// out over worker lanes (DESIGN.md §11). Purely a performance knob:
-/// every variant is bitwise-identical to the sequential
-/// mutate-and-rollback probe — workers probe copy-on-write overlays of
-/// the same base link state and the reducer applies the exact
-/// sequential tie-break order, so only wall-clock time changes.
+/// How the earliest-finish processor probe runs (DESIGN.md §11).
+/// Purely a performance knob: every variant is bitwise-identical to
+/// the reference mutate-and-rollback probe — overlay lanes probe
+/// copy-on-write overlays of the same committed link state and the
+/// reducer applies the exact sequential tie-break order, so only
+/// wall-clock time changes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ProbeParallelism {
-    /// The pre-overlay mutate-and-rollback probe on the real link
-    /// queues (the differential reference twin).
+    /// The mutate-and-rollback probe on the real link queues — the
+    /// differential reference twin ([`Tuning::reference`]).
     Sequential,
-    /// Resolve the lane count from the environment once per scheduler
-    /// run ([`es_runner::Threads::resolve`]: `ES_THREADS` override,
-    /// else the CPU count). Resolving to 1 lane keeps the sequential
-    /// path — on a single-core host `Auto` is exactly `Sequential`.
+    /// Overlay probing with the lane count resolved from the
+    /// environment once per scheduler run
+    /// ([`es_runner::Threads::resolve`]: `ES_THREADS` override, else
+    /// the CPU count). One lane runs inline on the calling thread and
+    /// spawns nothing.
     Auto,
-    /// Exactly `n` lanes (clamped to ≥ 1). Unlike `Auto`, one lane
-    /// still takes the overlay path (inline, no worker threads) — the
-    /// differential oracle uses this to pin overlay semantics without
-    /// scheduling nondeterminism in the mix.
+    /// Overlay probing on exactly `n` lanes (clamped to ≥ 1); one lane
+    /// runs inline. The differential oracle uses `Workers(1)` to pin
+    /// overlay semantics with no thread scheduling in the mix.
     Workers(usize),
 }
 
 impl ProbeParallelism {
     /// Lane count this variant resolves to right now (≥ 1).
-    /// `Sequential` reports 1; only [`ProbeParallelism::Workers`]
-    /// forces the overlay path at 1 lane.
+    /// `Sequential` reports 1.
     #[must_use]
     pub fn lanes(self) -> usize {
         match self {
@@ -89,15 +88,11 @@ impl ProbeParallelism {
         }
     }
 
-    /// Whether this variant takes the overlay probing path at all
-    /// (given its resolved lane count).
+    /// Whether this variant takes the overlay probing path (every
+    /// variant but the reference twin does).
     #[must_use]
     pub fn uses_overlay(self) -> bool {
-        match self {
-            ProbeParallelism::Sequential => false,
-            ProbeParallelism::Auto => self.lanes() > 1,
-            ProbeParallelism::Workers(_) => true,
-        }
+        !matches!(self, ProbeParallelism::Sequential)
     }
 }
 
@@ -109,24 +104,18 @@ impl ProbeParallelism {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Tuning {
     /// Memoize modified-Dijkstra search state across the processor
-    /// candidates probed for one ready task. The cache is keyed by a
-    /// link-state epoch and the topology's identity signature, so it is
-    /// invalidated precisely when any link queue mutates or a different
-    /// (e.g. [`es_net::Topology::masked`]) adjacency view is used.
+    /// candidates probed for one ready task (per overlay lane, dropped
+    /// between tasks and never consulted once a candidate has placed a
+    /// tentative slot or on an unsigned adjacency view), and reuse
+    /// hoisted search buffers for searches on the committed state.
     pub route_cache: bool,
     /// Use the indexed free-gap search in each link's `SlotQueue`
     /// ([`es_linksched::SlotQueue::indexed`]) instead of the linear
     /// first-fit rescan.
     pub indexed_gaps: bool,
-    /// Fan the earliest-finish processor probe out over copy-on-write
+    /// Run the earliest-finish processor probe over copy-on-write
     /// link-state overlays (see [`ProbeParallelism`]).
     pub parallel_probe: ProbeParallelism,
-    /// Restore checkpointed link state by memcpying saved slot columns
-    /// back into the touched queues instead of replaying per-hop
-    /// `unschedule` calls (DESIGN.md §16). First-touch column saves are
-    /// taken during the probe cycle, so a restore is a bounded import
-    /// of exactly the queues that mutated since `checkpoint()`.
-    pub snapshot_restore: bool,
 }
 
 impl Tuning {
@@ -137,7 +126,6 @@ impl Tuning {
             route_cache: true,
             indexed_gaps: true,
             parallel_probe: ProbeParallelism::Auto,
-            snapshot_restore: true,
         }
     }
 
@@ -149,21 +137,14 @@ impl Tuning {
             route_cache: false,
             indexed_gaps: false,
             parallel_probe: ProbeParallelism::Sequential,
-            snapshot_restore: false,
         }
     }
 }
 
 impl Default for Tuning {
-    /// Optimized, unless the `reference-default` cargo feature flips
-    /// the whole workspace onto the reference paths (used by the
-    /// differential oracle to double-build identical binaries).
+    /// [`Tuning::optimized`].
     fn default() -> Self {
-        if cfg!(feature = "reference-default") {
-            Self::reference()
-        } else {
-            Self::optimized()
-        }
+        Self::optimized()
     }
 }
 
@@ -411,15 +392,10 @@ mod tests {
     }
 
     #[test]
-    fn tuning_default_tracks_reference_feature() {
-        let expect = if cfg!(feature = "reference-default") {
-            Tuning::reference()
-        } else {
-            Tuning::optimized()
-        };
-        assert_eq!(Tuning::default(), expect);
-        assert_eq!(ListConfig::ba().tuning, expect);
-        assert_eq!(ListConfig::oihsa_probing().tuning, expect);
+    fn tuning_default_is_optimized() {
+        assert_eq!(Tuning::default(), Tuning::optimized());
+        assert_eq!(ListConfig::ba().tuning, Tuning::optimized());
+        assert_eq!(ListConfig::oihsa_probing().tuning, Tuning::optimized());
         assert_ne!(Tuning::optimized(), Tuning::reference());
     }
 
@@ -429,14 +405,11 @@ mod tests {
         assert!(!ProbeParallelism::Sequential.uses_overlay());
         assert_eq!(ProbeParallelism::Workers(0).lanes(), 1);
         assert_eq!(ProbeParallelism::Workers(4).lanes(), 4);
-        // Workers forces the overlay path even at one lane, so the
-        // differential oracle can pin overlay semantics thread-free.
+        // Every variant but the reference twin probes overlays, one
+        // lane included.
         assert!(ProbeParallelism::Workers(1).uses_overlay());
         assert!(ProbeParallelism::Auto.lanes() >= 1);
-        assert_eq!(
-            ProbeParallelism::Auto.uses_overlay(),
-            ProbeParallelism::Auto.lanes() > 1
-        );
+        assert!(ProbeParallelism::Auto.uses_overlay());
     }
 
     #[test]

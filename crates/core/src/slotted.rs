@@ -15,26 +15,23 @@
 //! * exact rollback of basic-insertion placements, which BA's
 //!   earliest-finish processor probe requires.
 //!
-//! # Performance model (DESIGN.md §10)
+//! # Performance model (DESIGN.md §10/§11)
 //!
-//! With [`Tuning::route_cache`] on, modified-Dijkstra search state is
-//! memoized *across the processor candidates probed for one ready
-//! task*: the search trajectory is destination-independent, so the P
-//! per-candidate searches from the same source collapse into at most
-//! one [`IncrementalDijkstra`] that each candidate merely advances.
-//! The cache key includes a link-state **epoch** (bumped by every
-//! placement and rollback) and the topology's identity signature, so a
-//! cached search is consulted only while the link schedules it probed
-//! are provably unchanged — and only between [`SlottedState::checkpoint`]
-//! and matching [`SlottedState::restore`] calls, which is exactly the
-//! probe loop's schedule/rollback cycle. Every answer is bitwise
-//! identical to a fresh search; the differential oracle enforces this.
+//! The committed state here is mutated only by real placements and, on
+//! the reference probe path, by exact rollbacks. The optimized
+//! earliest-finish probe never touches it: each candidate probes the
+//! committed queues through a private copy-on-write [`OverlayState`],
+//! whose [`ProbeWorkspace`] also holds the route cache — the
+//! modified-Dijkstra searches shared by the candidates of one ready
+//! task. With [`Tuning::route_cache`] on, committed-state searches
+//! reuse hoisted scratch buffers. Every answer is bitwise identical to
+//! the reference path; the differential oracle enforces this.
 
 use crate::config::{Insertion, Routing, Switching, Tuning};
 use crate::schedule::SchedError;
 use es_linksched::optimal::{optimal_insert_with, InsertScratch};
-use es_linksched::overlay::SlotQueueOverlay;
-use es_linksched::slot::{QueueSnapArena, Slot, SlotQueue, SnapWindow};
+use es_linksched::overlay::{OverlayDelta, SlotQueueOverlay};
+use es_linksched::slot::SlotQueue;
 use es_linksched::CommId;
 use es_net::{Hop, NodeId, ProcId, Topology};
 use es_route::{
@@ -93,48 +90,10 @@ pub fn reset_route_cache_stats() {
     ROUTE_CACHE_MISSES.store(0, Ordering::Relaxed);
 }
 
-/// Identity of one memoizable modified-Dijkstra search. Two lookups
-/// with equal keys are guaranteed to probe identical link schedules
-/// (same epoch, same adjacency view) with identical parameters, so
-/// resuming the cached search is bitwise-equivalent to a fresh one.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct SearchKey {
-    /// [`Topology::signature`] of the adjacency view probed.
-    topo_sig: u64,
-    /// Link-state epoch the search was opened under.
-    epoch: u64,
-    /// Search source vertex (destination is *not* part of the key —
-    /// that is the whole point of [`IncrementalDijkstra`]).
-    src: NodeId,
-    /// `est.to_bits()` — bitwise, no tolerance.
-    est: u64,
-    /// `cost.to_bits()`.
-    cost: u64,
-    switching: Switching,
-}
-
-/// One memoized search. Stored in a small Vec scanned linearly: entry
-/// count is bounded by the distinct (src, est, cost) triples probed for
-/// a single ready task, which is tiny, and Vec order is deterministic
-/// (the analyze pass bans hash maps in scheduling hot paths).
-#[derive(Clone, Debug)]
-struct RouteCacheEntry {
-    key: SearchKey,
-    search: IncrementalDijkstra<(f64, f64)>,
-}
-
-/// FIFO backstop so pathological probe patterns cannot grow the cache
-/// without bound; epoch-based pruning keeps it far below this in
-/// practice.
+/// FIFO backstop so pathological probe patterns cannot grow a lane's
+/// route cache without bound; per-task invalidation keeps it far below
+/// this in practice.
 const ROUTE_CACHE_CAP: usize = 32;
-
-/// Relative cost of rewriting one saved slot on an Import-mode restore
-/// (several linear column passes per queue) versus touching one slot
-/// of a queue during a targeted removal (one memmove over, on average,
-/// half the queue). Used only by [`SlottedState::pick_restore_mode`] —
-/// the two mechanisms are bitwise-identical, so this weight trades
-/// time, never output.
-const IMPORT_PASS_WEIGHT: usize = 3;
 
 /// One memoized minimal route in the flat BFS arena.
 #[derive(Clone, Debug, Default)]
@@ -208,77 +167,6 @@ impl BfsRouteArena {
     }
 }
 
-/// How an open snapshot cycle rolls the queues back on each
-/// [`SlottedState::restore`]. Decided once per cycle, at the first
-/// restore, by comparing the measured cost of the two mechanisms —
-/// both produce bitwise-identical post-restore state, so the choice is
-/// a pure time heuristic (DESIGN.md §16).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-enum SnapMode {
-    /// No restore has happened yet this cycle.
-    #[default]
-    Undecided,
-    /// Memcpy the first-touch column snapshots back into every queue
-    /// whose epoch moved. Wins when candidates stack many placements
-    /// onto the same queues (high fan-in probe cycles).
-    Import,
-    /// Replay a targeted [`SlottedState::unschedule`] per placed
-    /// communication. Wins when candidates place only a slot or two
-    /// per queue — one binary-searched memmove beats rewriting whole
-    /// queues. First-touch saves stop for the rest of the cycle.
-    Removal,
-}
-
-/// Column snapshot of every queue touched since the last
-/// [`SlottedState::checkpoint`] (DESIGN.md §16). The first mutation of
-/// a link in a probe cycle appends that queue's verbatim columns here
-/// (its content still equals the checkpointed content at that moment —
-/// either nothing touched it yet or a restore already put it back), so
-/// an Import-mode [`SlottedState::restore`] is a bounded column memcpy
-/// per touched queue instead of a replayed per-hop rollback.
-#[derive(Clone, Debug, Default)]
-struct SnapArena {
-    /// A checkpoint cycle is open (only under
-    /// [`Tuning::snapshot_restore`]).
-    active: bool,
-    /// The rollback mechanism this cycle settled on.
-    mode: SnapMode,
-    /// One record per first-touched queue: link index, the queue's
-    /// mutation epoch at save time, and its window in `cols`.
-    entries: Vec<(u32, u64, SnapWindow)>,
-    /// Shared verbatim column buffers (es_linksched's snapshot arena).
-    cols: QueueSnapArena,
-    /// Per-link generation stamp: `saved[l] == gen` means link `l`'s
-    /// first-touch columns are already in `entries` this cycle.
-    saved: Vec<u32>,
-    gen: u32,
-    /// Communications placed since the checkpoint; restore either
-    /// clears their records in place (Import) or replays their
-    /// unschedules (Removal).
-    placed: Vec<CommId>,
-}
-
-impl SnapArena {
-    /// Open a cycle: forget the previous cycle's saves (stamp bump)
-    /// and start with empty columns and an undecided mode.
-    fn begin(&mut self, link_count: usize) {
-        self.active = true;
-        self.mode = SnapMode::Undecided;
-        self.entries.clear();
-        self.cols.clear();
-        self.placed.clear();
-        if self.saved.len() < link_count {
-            self.saved.resize(link_count, 0);
-        }
-        self.gen = self.gen.wrapping_add(1);
-        if self.gen == 0 {
-            // Stamp wrap: invalidate all stale stamps the slow way.
-            self.saved.fill(0);
-            self.gen = 1;
-        }
-    }
-}
-
 /// Bookkeeping for one scheduled communication.
 #[derive(Clone, Debug, Default)]
 struct CommRecord {
@@ -310,16 +198,10 @@ pub struct SlottedState {
     bfs_cache: BfsRouteArena,
     tuning: Tuning,
     /// Monotonically increasing link-state version: bumped by every
-    /// placement and rollback. Epoch numbers are never reissued.
+    /// placement and rollback, rewound by [`SlottedState::restore`].
+    /// Epoch numbers are never reissued.
     epoch: u64,
     next_epoch: u64,
-    /// The epoch the current probe cycle checkpointed at, if any. The
-    /// route cache is consulted only while `epoch` equals this — i.e.
-    /// while the link schedules are in the exact checkpointed state.
-    active_checkpoint: Option<u64>,
-    route_cache: Vec<RouteCacheEntry>,
-    /// Column snapshot backing [`Tuning::snapshot_restore`] restores.
-    snap: SnapArena,
     /// Scratch buffers reused across placements (allocation hoisting;
     /// no behavioural effect).
     bfs_scratch: BfsScratch,
@@ -347,9 +229,6 @@ impl SlottedState {
             tuning,
             epoch: 0,
             next_epoch: 1,
-            active_checkpoint: None,
-            route_cache: Vec::new(),
-            snap: SnapArena::default(),
             bfs_scratch: BfsScratch::new(),
             insert_scratch: InsertScratch::new(),
             dts_scratch: Vec::new(),
@@ -368,13 +247,11 @@ impl SlottedState {
         &self.queues[link.index()]
     }
 
-    /// Immutable per-link slot slices, indexed by `LinkId::index()` —
-    /// the shared **base** that overlay probing reads. `&[Slot]` is
-    /// plain data (`Sync`), so the snapshot crosses worker lanes even
-    /// though [`SlotQueue`]'s lazy gap index keeps the queues
-    /// themselves `!Sync`.
-    pub fn queue_slices(&self) -> Vec<&[Slot]> {
-        self.queues.iter().map(SlotQueue::slots).collect()
+    /// Every link's queue, indexed by `LinkId::index()` — the shared
+    /// **base** that overlay probing reads. [`SlotQueue`] is `Sync`, so
+    /// worker lanes borrow it directly.
+    pub fn queues(&self) -> &[SlotQueue] {
+        &self.queues
     }
 
     /// Recorded `(start, finish)` of `comm` on hop `seq`.
@@ -391,86 +268,31 @@ impl SlottedState {
         &self.comms[comm.0 as usize].route
     }
 
-    /// Bump the link-state epoch after any queue mutation. Cached
-    /// searches from other epochs can only become consultable again
-    /// through a [`SlottedState::restore`] to the active checkpoint, so
-    /// everything else is pruned here (epochs are never reissued).
+    /// Bump the link-state epoch after any queue mutation.
     fn touch(&mut self) {
         self.epoch = self.next_epoch;
         self.next_epoch += 1;
-        // Cache-cold runs (e.g. BFS-routed BA never fills the route
-        // cache) pay one branch here, not a retain walk per mutation.
-        if !self.route_cache.is_empty() {
-            let keep = self.active_checkpoint;
-            self.route_cache.retain(|e| Some(e.key.epoch) == keep);
-        }
     }
 
-    /// Open a probe cycle: name the current link state and allow the
-    /// route cache to serve searches while the state matches it. The
-    /// caller promises to return the queues to exactly this state (via
-    /// exact rollbacks) before each [`SlottedState::restore`].
-    pub fn checkpoint(&mut self) -> StateEpoch {
-        self.active_checkpoint = Some(self.epoch);
-        let epoch = self.epoch;
-        if !self.route_cache.is_empty() {
-            self.route_cache.retain(|e| e.key.epoch == epoch);
-        }
-        if self.tuning.snapshot_restore {
-            self.snap.begin(self.queues.len());
-        }
+    /// Open a probe cycle of the reference prober: name the current
+    /// link state. The caller promises to return the queues to exactly
+    /// this state (via exact rollbacks) before each
+    /// [`SlottedState::restore`].
+    pub fn checkpoint(&self) -> StateEpoch {
         StateEpoch {
-            epoch,
+            epoch: self.epoch,
             #[cfg(debug_assertions)]
             checksum: self.content_checksum(),
         }
     }
 
-    /// Declare the link state rolled back to `cp`'s snapshot; re-arms
-    /// the route cache for the next candidate of the probe cycle.
-    ///
-    /// Under [`Tuning::snapshot_restore`] the rollback itself happens
-    /// here, by whichever mechanism the cycle's first restore measured
-    /// as cheaper ([`SnapMode`]): *Import* memcpys the first-touch
-    /// column snapshots back into every queue whose mutation epoch
-    /// moved and clears the placed records in place; *Removal* replays
-    /// a targeted [`SlottedState::unschedule`] per placed
-    /// communication. Both land on bitwise-identical state (the debug
-    /// checksum proves it), so the pick is a pure time heuristic.
-    /// Without the tuning the caller must have rolled the content back
-    /// (exact `unschedule`s) before calling. Like the manual rollback,
-    /// the cycle is exact only for basic-insertion placements: optimal
-    /// insertion rewrites *other* communications' recorded times,
-    /// which no restore path resurrects.
+    /// Declare the link state rolled back to `cp`'s snapshot and rewind
+    /// the epoch to it. The caller must already have rolled the content
+    /// back with exact `unschedule`s; debug builds prove it by
+    /// checksum. Like the rollback itself, the cycle is exact only for
+    /// basic-insertion placements: optimal insertion rewrites *other*
+    /// communications' recorded times, which no rollback resurrects.
     pub fn restore(&mut self, cp: StateEpoch) {
-        if self.tuning.snapshot_restore && self.snap.active {
-            if self.snap.mode == SnapMode::Undecided {
-                self.snap.mode = self.pick_restore_mode();
-            }
-            if self.snap.mode == SnapMode::Removal {
-                let placed = std::mem::take(&mut self.snap.placed);
-                for &comm in &placed {
-                    self.unschedule(comm);
-                }
-                let mut placed = placed;
-                placed.clear();
-                self.snap.placed = placed;
-            } else {
-                let snap = &mut self.snap;
-                for &(l, qepoch, w) in &snap.entries {
-                    let q = &mut self.queues[l as usize];
-                    if q.epoch() != qepoch {
-                        q.restore_from(&snap.cols, w, qepoch);
-                    }
-                }
-                for &comm in &snap.placed {
-                    let rec = &mut self.comms[comm.0 as usize];
-                    rec.route.clear();
-                    rec.times.clear();
-                }
-                snap.placed.clear();
-            }
-        }
         #[cfg(debug_assertions)]
         debug_assert_eq!(
             self.content_checksum(),
@@ -478,57 +300,6 @@ impl SlottedState {
             "restore() without an exact rollback to the checkpointed state"
         );
         self.epoch = cp.epoch;
-        if !self.route_cache.is_empty() {
-            self.route_cache.retain(|e| e.key.epoch == cp.epoch);
-        }
-    }
-
-    /// Measure which rollback mechanism this cycle should use, from
-    /// the first candidate's actual footprint. Import rewrites every
-    /// saved slot of every touched queue (several linear column passes
-    /// each); removal pays one binary-searched memmove — on average
-    /// half the queue — per placed slot. Comparing `saved slots ×
-    /// IMPORT_PASS_WEIGHT` against `Σ len(queue) per placed hop`
-    /// captures both: a candidate placing one slot on each of a few
-    /// long queues picks Removal (BFS-routed BA probes), while
-    /// candidates stacking many slots per queue pick Import (high
-    /// fan-in cycles).
-    fn pick_restore_mode(&self) -> SnapMode {
-        let import_slots: usize = self
-            .snap
-            .entries
-            .iter()
-            .map(|&(_, _, w)| w.n as usize)
-            .sum();
-        let mut removal_slots = 0usize;
-        for &comm in &self.snap.placed {
-            for hop in &self.comms[comm.0 as usize].route {
-                removal_slots += self.queues[hop.link.index()].len();
-            }
-        }
-        if import_slots * IMPORT_PASS_WEIGHT <= removal_slots {
-            SnapMode::Import
-        } else {
-            SnapMode::Removal
-        }
-    }
-
-    /// First-touch column save of link `l` for the open snapshot
-    /// cycle; every committed-state mutator calls this before its
-    /// first write to the queue. O(1) when the link is already saved,
-    /// no cycle is open, or the cycle settled on Removal-mode restores
-    /// (which never read the saves).
-    fn snap_save(&mut self, l: usize) {
-        if !self.snap.active
-            || self.snap.mode == SnapMode::Removal
-            || self.snap.saved[l] == self.snap.gen
-        {
-            return;
-        }
-        self.snap.saved[l] = self.snap.gen;
-        let q = &self.queues[l];
-        let w = q.snapshot_into(&mut self.snap.cols);
-        self.snap.entries.push((l as u32, q.epoch(), w));
     }
 
     /// Order-insensitive digest of all slot content, for the debug
@@ -582,67 +353,6 @@ impl SlottedState {
         Ok(arrival)
     }
 
-    /// Batch pre-advance of the memoized modified-Dijkstra search for
-    /// one probe edge (DESIGN.md §16): settle **every** candidate
-    /// destination in a single wavefront pass instead of growing the
-    /// frontier candidate by candidate. Answer-neutral because the
-    /// settle trajectory is destination-independent
-    /// ([`IncrementalDijkstra::settle_many`]): each later
-    /// [`SlottedState::schedule_comm`] resume reconstructs exactly the
-    /// route a fresh search would have found, pinned bitwise in
-    /// `es_route` and by the differential oracle. A no-op unless the
-    /// route cache is consultable (modified-Dijkstra routing, signed
-    /// view, at a checkpointed state) — so reference tunings and BFS
-    /// routing pay one branch.
-    #[allow(clippy::too_many_arguments)]
-    pub fn warm_route_searches(
-        &mut self,
-        topo: &Topology,
-        from: ProcId,
-        est: f64,
-        cost: f64,
-        dsts: &[NodeId],
-        routing: Routing,
-        switching: Switching,
-    ) {
-        if !matches!(routing, Routing::ModifiedDijkstra) {
-            return;
-        }
-        let sig = topo.signature();
-        let consultable =
-            self.tuning.route_cache && sig != 0 && self.active_checkpoint == Some(self.epoch);
-        if !consultable || dsts.is_empty() {
-            return;
-        }
-        let src = topo.node_of_proc(from);
-        let (relax, key) = seq_probe_metric(&self.queues, topo, cost, switching);
-        let k = SearchKey {
-            topo_sig: sig,
-            epoch: self.epoch,
-            src,
-            est: est.to_bits(),
-            cost: cost.to_bits(),
-            switching,
-        };
-        let cache = &mut self.route_cache;
-        let entry = if let Some(i) = cache.iter().position(|e| e.key == k) {
-            &mut cache[i]
-        } else {
-            // The warm pass is the probe cycle's one expected miss;
-            // every per-candidate lookup after it resumes this entry.
-            ROUTE_CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
-            if cache.len() >= ROUTE_CACHE_CAP {
-                cache.remove(0);
-            }
-            cache.push(RouteCacheEntry {
-                key: k,
-                search: IncrementalDijkstra::new(topo.node_count(), src, (est, est), est),
-            });
-            cache.last_mut().expect("just pushed")
-        };
-        entry.search.settle_many(topo, dsts, relax, key);
-    }
-
     /// Choose a route per the configured strategy into a caller-owned
     /// buffer; returns whether a route exists (`out` is meaningful
     /// only then). The buffer-filling shape keeps the steady-state
@@ -680,49 +390,23 @@ impl SlottedState {
                 // current schedules. The hop delay is applied uniformly
                 // (including the first hop) — a conservative metric;
                 // actual placement applies it precisely.
-                let (relax, key) = seq_probe_metric(&self.queues, topo, cost, switching);
+                let queues = &self.queues;
+                // TWIN(dijkstra-relax): begin
+                let delay = topo.hop_delay();
+                let relax = move |&(s, f): &(f64, f64), hop: &Hop| {
+                    let int = cost / topo.link_speed(hop.link);
+                    let bound = match switching {
+                        Switching::CutThrough => (s + delay).max(f + delay - int),
+                        Switching::StoreAndForward => f + delay,
+                    };
+                    let start = queues[hop.link.index()].probe(bound, int); // TWIN-OK: reference probes the committed queues directly
+                    (start, (start + int).max(f))
+                };
+                let key = |&(_, f): &(f64, f64)| f;
+                // TWIN(dijkstra-relax): end
 
-                let sig = topo.signature();
-                let cacheable = self.tuning.route_cache
-                    && sig != 0
-                    && self.active_checkpoint == Some(self.epoch);
-                if cacheable {
-                    let k = SearchKey {
-                        topo_sig: sig,
-                        epoch: self.epoch,
-                        src,
-                        est: est.to_bits(),
-                        cost: cost.to_bits(),
-                        switching,
-                    };
-                    let cache = &mut self.route_cache;
-                    let entry = if let Some(i) = cache.iter().position(|e| e.key == k) {
-                        ROUTE_CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-                        &mut cache[i]
-                    } else {
-                        ROUTE_CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
-                        if cache.len() >= ROUTE_CACHE_CAP {
-                            cache.remove(0);
-                        }
-                        cache.push(RouteCacheEntry {
-                            key: k,
-                            search: IncrementalDijkstra::new(
-                                topo.node_count(),
-                                src,
-                                (est, est),
-                                est,
-                            ),
-                        });
-                        cache.last_mut().expect("just pushed")
-                    };
-                    entry
-                        .search
-                        .route_to_into(topo, dst, relax, key, out)
-                        .is_some()
-                } else if self.tuning.route_cache {
-                    // Not at a checkpointed state, but the buffer-reuse
-                    // half of the optimization still applies: the same
-                    // search over hoisted scratch allocations.
+                if self.tuning.route_cache {
+                    // The same search over hoisted scratch allocations.
                     dijkstra_route_into_with(
                         topo,
                         src,
@@ -764,12 +448,6 @@ impl SlottedState {
         let times = &mut self.comms[rec_idx].times;
         times.clear();
         times.resize(route.len(), None);
-        if self.snap.active {
-            for hop in route {
-                self.snap_save(hop.link.index());
-            }
-            self.snap.placed.push(comm);
-        }
 
         let (mut prev_start, mut prev_finish) = (est, est);
         for (seq, hop) in route.iter().enumerate() {
@@ -840,11 +518,6 @@ impl SlottedState {
     /// tentative probe therefore always runs with basic insertion.
     pub fn unschedule(&mut self, comm: CommId) {
         let mut rec = std::mem::take(&mut self.comms[comm.0 as usize]);
-        if self.snap.active {
-            for hop in &rec.route {
-                self.snap_save(hop.link.index());
-            }
-        }
         if self.tuning.indexed_gaps {
             // The recorded per-hop times pin each slot exactly (optimal
             // insertion keeps them updated when it defers slots), so a
@@ -901,11 +574,6 @@ impl SlottedState {
         let mut mutated = false;
         for &comm in comms {
             let rec = std::mem::take(&mut self.comms[comm.0 as usize]);
-            if self.snap.active {
-                for hop in &rec.route {
-                    self.snap_save(hop.link.index());
-                }
-            }
             for hop in &rec.route {
                 dropped += LinkModel::release_all(&mut self.queues[hop.link.index()], &[comm]);
             }
@@ -939,11 +607,11 @@ impl SlottedState {
     }
 }
 
-/// Identity of one memoizable overlay search. Unlike [`SearchKey`]
-/// there is no epoch or topology signature: a [`ProbeWorkspace`] lives
-/// inside a single `pick_by_probe` call (one ready task, one immutable
-/// base snapshot, one topology view) and is invalidated wholesale
-/// between tasks via [`ProbeWorkspace::begin_candidate`]'s serial.
+/// Identity of one memoizable overlay search. There is no epoch or
+/// topology signature: the searches of a [`ProbeWorkspace`] live for a
+/// single `pick_by_probe` call (one ready task, one immutable base, one
+/// topology view) and are invalidated wholesale between tasks via
+/// [`ProbeWorkspace::begin_candidate`]'s serial.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct WorkerSearchKey {
     src: NodeId,
@@ -959,15 +627,15 @@ struct WorkerSearchKey {
 /// Each worker lane owns one workspace for the whole scheduling run;
 /// everything in it is clear-don't-drop so steady-state probing does
 /// not allocate. It holds the private per-link deltas of the candidate
-/// currently being probed plus the lane-local mirrors of the sequential
-/// path's caches: a BFS route memo, hoisted Dijkstra/BFS scratch
-/// buffers, and the incremental modified-Dijkstra searches that the
-/// route cache resumes across candidates of the same task.
+/// currently being probed plus the lane's caches: a BFS route memo,
+/// hoisted Dijkstra/BFS scratch buffers, and the incremental
+/// modified-Dijkstra searches that the route cache resumes across
+/// candidates of the same task.
 #[derive(Clone, Debug)]
 pub struct ProbeWorkspace {
-    /// Private copy-on-write deltas, indexed like the base snapshot
+    /// Private copy-on-write deltas, indexed like the base queues
     /// (`LinkId::index()`). Kept allocated across candidates.
-    deltas: Vec<Vec<Slot>>,
+    deltas: Vec<OverlayDelta>,
     /// Links whose delta is currently non-empty.
     touched: Vec<usize>,
     /// Lane-local mirror of [`SlottedState::bfs_cache`] (same
@@ -988,7 +656,7 @@ impl ProbeWorkspace {
     #[must_use]
     pub fn new(link_count: usize) -> Self {
         Self {
-            deltas: vec![Vec::new(); link_count],
+            deltas: vec![OverlayDelta::new(); link_count],
             touched: Vec::new(),
             bfs_cache: BfsRouteArena::new(),
             bfs_scratch: BfsScratch::new(),
@@ -1002,7 +670,7 @@ impl ProbeWorkspace {
     /// Reset for the next candidate: drop its deltas (keeping their
     /// buffers) and, when `probe_serial` names a new probe cycle (a new
     /// ready task), invalidate the incremental searches — they probed
-    /// a snapshot that no longer exists.
+    /// a link state that no longer exists.
     pub fn begin_candidate(&mut self, probe_serial: u64) {
         for &l in &self.touched {
             self.deltas[l].clear();
@@ -1015,26 +683,26 @@ impl ProbeWorkspace {
     }
 }
 
-/// A probe-only view of the link state: an immutable base snapshot
-/// (per-link slot slices from [`SlottedState::queue_slices`]) plus one
-/// lane's private [`ProbeWorkspace`] deltas. Supports exactly what the
-/// earliest-finish processor probe needs — basic-insertion
-/// `schedule_comm` — and answers it bitwise identically to the
-/// sequential mutate-and-rollback path by construction: overlay probes
-/// equal real-queue probes ([`SlotQueueOverlay`]'s contract) and the
-/// route searches run the very same relax/key closures.
+/// A probe-only view of the link state: the immutable committed queues
+/// ([`SlottedState::queues`]) plus one lane's private
+/// [`ProbeWorkspace`] deltas. Supports exactly what the earliest-finish
+/// processor probe needs — basic-insertion `schedule_comm` — and
+/// answers it bitwise identically to the reference mutate-and-rollback
+/// path by construction: indexed overlay probes equal real-queue probes
+/// ([`SlotQueueOverlay`]'s contract) and the route searches run the
+/// very same relax/key closures.
 pub struct OverlayState<'a> {
-    base: &'a [&'a [Slot]],
+    base: &'a [SlotQueue],
     tuning: Tuning,
     ws: &'a mut ProbeWorkspace,
 }
 
 impl<'a> OverlayState<'a> {
-    /// Wrap a base snapshot and one lane's workspace. The workspace
-    /// must have been created for the same link count and
+    /// Wrap the committed queues and one lane's workspace. The
+    /// workspace must have been created for the same link count and
     /// [`ProbeWorkspace::begin_candidate`]-reset by the caller.
-    pub fn new(base: &'a [&'a [Slot]], tuning: Tuning, ws: &'a mut ProbeWorkspace) -> Self {
-        debug_assert_eq!(base.len(), ws.deltas.len(), "snapshot/workspace link count");
+    pub fn new(base: &'a [SlotQueue], tuning: Tuning, ws: &'a mut ProbeWorkspace) -> Self {
+        debug_assert_eq!(base.len(), ws.deltas.len(), "queue/workspace link count");
         Self { base, tuning, ws }
     }
 
@@ -1111,19 +779,18 @@ impl<'a> OverlayState<'a> {
                         Switching::StoreAndForward => f + delay,
                     };
                     let l = hop.link.index(); // TWIN-OK: overlay indexes per-link base/delta pairs
-                    let start = SlotQueueOverlay::new(base[l], &deltas[l]).probe(bound, int); // TWIN-OK: overlay probes the merged base+delta view
+                    let start = SlotQueueOverlay::indexed(&base[l], &deltas[l]).probe(bound, int); // TWIN-OK: overlay probes the merged base+delta view
                     (start, (start + int).max(f))
                 };
                 let key = |&(_, f): &(f64, f64)| f;
                 // TWIN(dijkstra-relax): end
 
-                // Mirror of the sequential cacheability window: a
-                // memoized search is resumable only while the link
-                // state it probed is provably unchanged. Sequentially
-                // that is `epoch == checkpoint`; here it is "no private
+                // A memoized search is resumable only while the link
+                // state it probed is provably unchanged: "no private
                 // delta yet" — each candidate's first searches probe
-                // the pristine snapshot, exactly like each sequential
-                // candidate right after `restore()`.
+                // the pristine committed queues, and `begin_candidate`
+                // drops the searches when the task (and so the base)
+                // changes.
                 let cacheable =
                     self.tuning.route_cache && topo.signature() != 0 && ws.touched.is_empty();
                 if cacheable {
@@ -1199,12 +866,13 @@ impl<'a> OverlayState<'a> {
             };
             // TWIN(hop-bound): end
             let l = hop.link.index();
+            let queue = &self.base[l];
             let delta = &mut ws.deltas[l];
-            let start = SlotQueueOverlay::new(self.base[l], delta).probe(bound, int);
+            let start = SlotQueueOverlay::indexed(queue, delta).probe(bound, int);
             if delta.is_empty() {
                 ws.touched.push(l);
             }
-            SlotQueueOverlay::commit_into(self.base[l], delta, comm, seq as u32, start, int);
+            delta.place(queue.slots(), comm, seq as u32, start, int);
             prev_start = start;
             prev_finish = start + int;
         }
@@ -1224,37 +892,6 @@ impl<'a> OverlayState<'a> {
 /// and 0 when the next hop is not yet placed (conservative; happens
 /// only mid-placement of `c` itself). With `hop_delay == 0` the
 /// subtraction is exact, so delay-free topologies are bit-unchanged.
-/// The §4.3 relax metric and tie-break key over the **committed**
-/// queues, shared by [`SlottedState::pick_route_into`] and the batch
-/// warm pass ([`SlottedState::warm_route_searches`]) so the twinned
-/// hot closure has exactly one sequential copy (the overlay twin in
-/// [`OverlayState::pick_route_into`] is the other).
-#[allow(clippy::type_complexity)] // impl-Trait pairs can't be type-aliased on stable
-fn seq_probe_metric<'q>(
-    queues: &'q [SlotQueue],
-    topo: &'q Topology,
-    cost: f64,
-    switching: Switching,
-) -> (
-    impl Fn(&(f64, f64), &Hop) -> (f64, f64) + 'q,
-    impl Fn(&(f64, f64)) -> f64,
-) {
-    // TWIN(dijkstra-relax): begin
-    let delay = topo.hop_delay();
-    let relax = move |&(s, f): &(f64, f64), hop: &Hop| {
-        let int = cost / topo.link_speed(hop.link);
-        let bound = match switching {
-            Switching::CutThrough => (s + delay).max(f + delay - int),
-            Switching::StoreAndForward => f + delay,
-        };
-        let start = queues[hop.link.index()].probe(bound, int); // TWIN-OK: serial probes the committed queues directly
-        (start, (start + int).max(f))
-    };
-    let key = |&(_, f): &(f64, f64)| f;
-    // TWIN(dijkstra-relax): end
-    (relax, key)
-}
-
 fn deferrable_times_into(
     queue: &SlotQueue,
     comms: &[CommRecord],
@@ -1729,10 +1366,10 @@ mod tests {
 
     #[test]
     fn route_cache_reuses_search_across_probe_candidates() {
-        // Probe-cycle pattern: checkpoint, then repeatedly schedule the
-        // same communication, roll it back exactly, and restore. The
-        // second and later searches must be served from cache and yield
-        // bitwise-identical results.
+        // Probe-cycle pattern: several candidates of one task probe the
+        // same communication through a lane's overlay. The second and
+        // later searches must be served from the lane's cache and
+        // yield bitwise-identical results.
         let mut b = Topology::builder();
         let (p0, _) = b.add_processor(1.0);
         let (p1, _) = b.add_processor(1.0);
@@ -1759,10 +1396,11 @@ mod tests {
         )
         .unwrap();
 
-        let cp = st.checkpoint();
+        let mut ws = ProbeWorkspace::new(topo.link_count());
         let mut arrivals = Vec::new();
-        for _ in 0..3 {
-            let a = st
+        for _candidate in 0..3 {
+            ws.begin_candidate(1);
+            let a = OverlayState::new(st.queues(), st.tuning(), &mut ws)
                 .schedule_comm(
                     &topo,
                     c(1),
@@ -1771,13 +1409,10 @@ mod tests {
                     ProcId(0),
                     ProcId(1),
                     Routing::ModifiedDijkstra,
-                    Insertion::Basic,
                     Switching::CutThrough,
                 )
                 .unwrap();
             arrivals.push(a);
-            st.unschedule(c(1));
-            st.restore(cp);
         }
         assert_eq!(arrivals[0].to_bits(), arrivals[1].to_bits());
         assert_eq!(arrivals[0].to_bits(), arrivals[2].to_bits());
@@ -1791,9 +1426,9 @@ mod tests {
 
     #[test]
     fn route_cache_is_inert_without_checkpoint() {
-        // HybridStatic schedulers never checkpoint; searches must not
-        // consult (or populate) the cache, and mutations between calls
-        // must yield exactly the reference answers.
+        // Committed-state searches (the HybridStatic schedulers) never
+        // consult a search cache: across mutations between calls the
+        // optimized tuning must yield exactly the reference answers.
         let topo = line();
         let mut opt = SlottedState::with_tuning(&topo, 8, Tuning::optimized());
         let mut refr = SlottedState::with_tuning(&topo, 8, Tuning::reference());
@@ -1834,7 +1469,6 @@ mod tests {
                 assert_eq!(x.1.to_bits(), y.1.to_bits());
             }
         }
-        assert!(opt.route_cache.is_empty(), "no checkpoint, no cache");
     }
 
     #[test]
@@ -1929,85 +1563,6 @@ mod tests {
         (topo, st)
     }
 
-    #[test]
-    fn snapshot_restore_rolls_back_without_manual_unschedule() {
-        // Under `snapshot_restore`, restore() itself is the rollback:
-        // schedule candidates, never unschedule, and every restore
-        // must land on exactly the checkpointed content.
-        let (topo, mut st) = congested_pair();
-        assert!(st.tuning().snapshot_restore);
-        let cp = st.checkpoint();
-        let mut arrivals = Vec::new();
-        for k in 0..3 {
-            let a = st
-                .schedule_comm(
-                    &topo,
-                    c(9),
-                    0.5,
-                    6.0,
-                    ProcId(0),
-                    ProcId(1),
-                    Routing::ModifiedDijkstra,
-                    Insertion::Basic,
-                    Switching::CutThrough,
-                )
-                .unwrap();
-            arrivals.push(a);
-            if k == 1 {
-                // A second placement in the same candidate exercises
-                // multi-comm restore bookkeeping.
-                st.schedule_comm(
-                    &topo,
-                    c(10),
-                    1.0,
-                    2.0,
-                    ProcId(0),
-                    ProcId(1),
-                    Routing::ModifiedDijkstra,
-                    Insertion::Basic,
-                    Switching::CutThrough,
-                )
-                .unwrap();
-            }
-            st.restore(cp);
-            st.check_invariants().unwrap();
-            assert!(st.route_of(c(9)).is_empty(), "record cleared by restore");
-            assert!(st.route_of(c(10)).is_empty());
-        }
-        assert_eq!(arrivals[0].to_bits(), arrivals[1].to_bits());
-        assert_eq!(arrivals[0].to_bits(), arrivals[2].to_bits());
-        // And the queues really are back: a reference twin that never
-        // probed at all schedules the next comm identically.
-        let (topo2, mut fresh) = congested_pair();
-        let a = st
-            .schedule_comm(
-                &topo,
-                c(11),
-                0.0,
-                3.0,
-                ProcId(0),
-                ProcId(1),
-                Routing::ModifiedDijkstra,
-                Insertion::Basic,
-                Switching::CutThrough,
-            )
-            .unwrap();
-        let b = fresh
-            .schedule_comm(
-                &topo2,
-                c(11),
-                0.0,
-                3.0,
-                ProcId(0),
-                ProcId(1),
-                Routing::ModifiedDijkstra,
-                Insertion::Basic,
-                Switching::CutThrough,
-            )
-            .unwrap();
-        assert_eq!(a.to_bits(), b.to_bits());
-    }
-
     /// The overlay probe must answer exactly what the sequential
     /// schedule-then-rollback cycle answers, for every routing and
     /// switching mode, across repeated candidates of one probe cycle.
@@ -2039,11 +1594,10 @@ mod tests {
                         st.unschedule(c(9));
                         st.restore(cp);
                     }
-                    // Overlay probes of the same snapshot.
-                    let snap = st.queue_slices();
+                    // Overlay probes of the same committed state.
                     for &e in &expected {
                         ws.begin_candidate(serial as u64 + 1);
-                        let mut ov = OverlayState::new(&snap, st.tuning(), &mut ws);
+                        let mut ov = OverlayState::new(st.queues(), st.tuning(), &mut ws);
                         let a = ov
                             .schedule_comm(
                                 &topo,
@@ -2098,10 +1652,9 @@ mod tests {
         }
         st.restore(cp);
 
-        let snap = st.queue_slices();
         let mut ws = ProbeWorkspace::new(topo.link_count());
         ws.begin_candidate(1);
-        let mut ov = OverlayState::new(&snap, st.tuning(), &mut ws);
+        let mut ov = OverlayState::new(st.queues(), st.tuning(), &mut ws);
         for (&(comm, est, cost), &e) in probes.iter().zip(&expected) {
             let a = ov
                 .schedule_comm(
@@ -2117,9 +1670,9 @@ mod tests {
                 .unwrap();
             assert_eq!(a.to_bits(), e.to_bits(), "delta accumulation diverged");
         }
-        // A fresh candidate starts from the pristine snapshot again.
+        // A fresh candidate starts from the pristine committed state.
         ws.begin_candidate(1);
-        let mut ov = OverlayState::new(&snap, st.tuning(), &mut ws);
+        let mut ov = OverlayState::new(st.queues(), st.tuning(), &mut ws);
         let a = ov
             .schedule_comm(
                 &topo,

@@ -1,22 +1,25 @@
-//! Property: the route/probe cache never serves a stale route. Twin
-//! [`SlottedState`]s — one with the optimized tuning (cache + indexed
-//! gaps), one with the reference tuning — are driven through identical
-//! random sequences of probe cycles (checkpoint → tentative schedule →
-//! exact rollback → restore), real commits, and schedules against
-//! masked repair views of the topology. Every returned arrival time
-//! and every recorded placement must match bit for bit; any stale
-//! cache entry surviving a link-queue mutation or a topology mask
-//! switch would diverge here.
+//! Property: the overlay lanes' route cache never serves a stale
+//! route. Twin [`SlottedState`]s are driven through identical random
+//! sequences of probe cycles, real commits, and schedules against
+//! masked repair views of the topology. The optimized twin probes every
+//! candidate through one lane's [`OverlayState`] with
+//! `ProbeParallelism::Workers(1)`, whose [`ProbeWorkspace`] memoizes
+//! the modified-Dijkstra searches the candidates of one cycle share;
+//! the reference twin probes by checkpoint → tentative schedule → exact
+//! rollback → restore on the committed queues. Every probed arrival and
+//! every committed placement must match bit for bit; a cached search
+//! surviving a tentative placement, a commit or a topology mask switch
+//! would diverge here.
 
 use es_core::config::{Insertion, Routing, Switching};
-use es_core::slotted::SlottedState;
-use es_core::Tuning;
+use es_core::slotted::{OverlayState, ProbeWorkspace, SlottedState};
+use es_core::{ProbeParallelism, Tuning};
 use es_linksched::CommId;
 use es_net::gen::{self, WanConfig};
 use es_net::Topology;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngExt, SeedableRng};
 
 /// One scripted communication request.
 #[derive(Clone, Debug)]
@@ -60,11 +63,62 @@ fn reqs_strategy() -> impl Strategy<Value = Vec<Req>> {
     })
 }
 
-fn drive(topo: &Topology, masked: &Topology, reqs: &[Req], tuning: Tuning) -> SlottedState {
-    let mut st = SlottedState::with_tuning(topo, reqs.len() * 8, tuning);
+/// One tentative probe of `comm` from `from` to `to`, either through
+/// the lane overlay (optimized twin) or on the committed queues
+/// (reference twin, rolled back by the caller). `None` is NoRoute.
+fn probe_once(
+    st: &mut SlottedState,
+    ws: Option<&mut ProbeWorkspace>,
+    view: &Topology,
+    comm: CommId,
+    est: f64,
+    cost: f64,
+    from: usize,
+    to: usize,
+) -> Option<u64> {
+    let (from, to) = (es_net::ProcId(from as u32), es_net::ProcId(to as u32));
+    let got = match ws {
+        Some(ws) => OverlayState::new(st.queues(), st.tuning(), ws).schedule_comm(
+            view,
+            comm,
+            est,
+            cost,
+            from,
+            to,
+            Routing::ModifiedDijkstra,
+            Switching::CutThrough,
+        ),
+        None => st.schedule_comm(
+            view,
+            comm,
+            est,
+            cost,
+            from,
+            to,
+            Routing::ModifiedDijkstra,
+            Insertion::Basic,
+            Switching::CutThrough,
+        ),
+    };
+    got.ok().map(f64::to_bits)
+}
+
+/// Drive one twin; returns the final state plus every probed arrival.
+fn drive(
+    topo: &Topology,
+    masked: &Topology,
+    reqs: &[Req],
+    tuning: Tuning,
+) -> (SlottedState, Vec<Option<u64>>) {
+    // Ids 0..n are real commits; probes take the block above them.
+    let n = reqs.len() as u64;
+    let mut st = SlottedState::with_tuning(topo, reqs.len() * 4 + 8, tuning);
+    let overlay = tuning.parallel_probe.uses_overlay();
+    let mut ws = ProbeWorkspace::new(topo.link_count());
     let procs = topo.proc_count();
     let mut next = 0u64;
-    for r in reqs {
+    let mut probes = Vec::new();
+    for (serial, r) in reqs.iter().enumerate() {
         let from = r.from % procs;
         let view = if r.masked { masked } else { topo };
         let insertion = if r.optimal {
@@ -73,36 +127,53 @@ fn drive(topo: &Topology, masked: &Topology, reqs: &[Req], tuning: Tuning) -> Sl
             Insertion::Basic
         };
         // Probe cycle over candidate destinations, mirroring
-        // pick_by_probe: tentative schedules are exactly rolled back
-        // before each restore, so the cache may serve repeat searches.
+        // pick_by_probe: two in-edges per candidate from two sources,
+        // the second probed on top of the first's tentative slots. The
+        // lane cache may serve the first edge's search to every
+        // candidate, but must not serve the second's: it was expanded
+        // over another candidate's tentative slots.
+        let from2 = (from + 1 + r.candidates) % procs;
         let cp = st.checkpoint();
         for c in 0..r.candidates {
             let to = (r.to + c) % procs;
             if to == from {
-                st.restore(cp);
                 continue;
             }
-            let comm = CommId(next);
-            let ok = st
-                .schedule_comm(
-                    view,
-                    comm,
-                    r.est,
-                    r.cost,
-                    es_net::ProcId(from as u32),
-                    es_net::ProcId(to as u32),
-                    Routing::ModifiedDijkstra,
-                    Insertion::Basic,
-                    Switching::CutThrough,
-                )
-                .is_ok();
-            if ok {
-                st.unschedule(comm);
+            let mut edges = vec![(CommId(n + 2 * next), r.est, r.cost, from)];
+            if from2 != to {
+                edges.push((CommId(n + 2 * next + 1), r.est, r.cost * 0.5, from2));
             }
-            st.restore(cp);
+            if overlay {
+                ws.begin_candidate(serial as u64 + 1);
+                for &(comm, est, cost, src) in &edges {
+                    probes.push(probe_once(
+                        &mut st,
+                        Some(&mut ws),
+                        view,
+                        comm,
+                        est,
+                        cost,
+                        src,
+                        to,
+                    ));
+                }
+            } else {
+                let mut placed = Vec::new();
+                for &(comm, est, cost, src) in &edges {
+                    let a = probe_once(&mut st, None, view, comm, est, cost, src, to);
+                    if a.is_some() {
+                        placed.push(comm);
+                    }
+                    probes.push(a);
+                }
+                for &comm in placed.iter().rev() {
+                    st.unschedule(comm);
+                }
+                st.restore(cp);
+            }
         }
-        // Real commit (mutates the link queues, moving the epoch, so
-        // any cached search must stop being served afterwards).
+        // Real commit (mutates the link queues, so any cached search
+        // must stop being served afterwards).
         let to = if r.to % procs == from {
             (from + 1) % procs
         } else {
@@ -125,7 +196,28 @@ fn drive(topo: &Topology, masked: &Topology, reqs: &[Req], tuning: Tuning) -> Sl
         }
     }
     st.check_invariants().expect("invariants");
-    st
+    (st, probes)
+}
+
+/// Every processor cabled to both of two otherwise unconnected
+/// switches: each pair has two disjoint two-hop routes, so a tentative
+/// slot on one of them changes which route the modified Dijkstra picks
+/// for the next probed edge.
+fn dual_homed(procs: usize, hetero: bool, rng: &mut StdRng) -> Topology {
+    let mut b = Topology::builder();
+    let (sa, sb) = (b.add_switch(), b.add_switch());
+    for _ in 0..procs {
+        let (p, _) = b.add_processor(1.0);
+        for sw in [sa, sb] {
+            let speed = if hetero {
+                rng.random_range(1.0..4.0)
+            } else {
+                1.0
+            };
+            b.add_duplex_cable(p, sw, speed);
+        }
+    }
+    b.build().expect("dual-homed platform")
 }
 
 proptest! {
@@ -136,6 +228,7 @@ proptest! {
         procs in 2usize..10,
         seed in any::<u64>(),
         hetero in prop::bool::ANY,
+        dual in prop::bool::ANY,
         mask_seed in any::<u64>(),
         reqs in reqs_strategy(),
     ) {
@@ -145,13 +238,22 @@ proptest! {
         } else {
             WanConfig::homogeneous(procs)
         };
-        let topo = gen::random_switched_wan(&cfg, &mut rng);
+        let topo = if dual {
+            dual_homed(procs, hetero, &mut rng)
+        } else {
+            gen::random_switched_wan(&cfg, &mut rng)
+        };
         // Mask a pseudo-random subset of links (possibly disconnecting
         // the view — NoRoute results must then match on both sides).
         let masked = topo.masked(|l| (mask_seed >> (l.index() % 61)) & 1 == 1);
 
-        let opt = drive(&topo, &masked, &reqs, Tuning::optimized());
-        let refr = drive(&topo, &masked, &reqs, Tuning::reference());
+        let lane = Tuning {
+            parallel_probe: ProbeParallelism::Workers(1),
+            ..Tuning::optimized()
+        };
+        let (opt, opt_probes) = drive(&topo, &masked, &reqs, lane);
+        let (refr, ref_probes) = drive(&topo, &masked, &reqs, Tuning::reference());
+        prop_assert_eq!(opt_probes, ref_probes, "probed arrivals diverged");
 
         for link in topo.link_ids() {
             let (a, b) = (opt.queue(link), refr.queue(link));

@@ -23,10 +23,27 @@
 //! earlier). The indexed probe path is bitwise-identical to the
 //! reference fold (DESIGN.md §10), so overlay probes are bitwise-equal
 //! to probes of the mutated real queue in either tuning.
+//!
+//! # Indexed overlays (DESIGN.md §11)
+//!
+//! A plain overlay folds from the first slot of both lists. An overlay
+//! built by [`SlotQueueOverlay::indexed`] over a committed queue and an
+//! [`OverlayDelta`] skips the leading slots that end below
+//! `bound - EPS` on both sides instead — through the queue's own gap
+//! index and through the prefix-max column a long delta keeps — so a
+//! high fan-in join whose tentative transfers stack dozens of slots on
+//! one link no longer rescans them on every probe. The skip is proven
+//! answer-neutral in the docs of `SlotQueueOverlay::inert_prefix`.
 
 use crate::slot::{Slot, SlotQueue};
 use crate::time::{approx_ge, approx_le, EPS};
 use crate::CommId;
+
+/// Delta length from which an [`OverlayDelta`] keeps its prefix-max
+/// column. A shorter delta is folded from its first slot: a few extra
+/// comparisons per probe are cheaper than column upkeep on every
+/// tentative commit.
+pub const LONG_DELTA: usize = 16;
 
 /// A read-only view of one link's schedule as seen by one probing
 /// candidate: the shared base slots plus the candidate's private delta.
@@ -39,14 +56,43 @@ use crate::CommId;
 pub struct SlotQueueOverlay<'a> {
     base: &'a [Slot],
     delta: &'a [Slot],
+    /// The committed queue behind `base` when built by
+    /// [`SlotQueueOverlay::indexed`]: an empty delta then probes it
+    /// directly, through its own gap index and SoA columns.
+    queue: Option<&'a SlotQueue>,
+    /// Prefix maxima of `base` ends ([`SlotQueue::probe_index`]);
+    /// empty when the base has no usable index.
+    base_pme: &'a [f64],
+    /// Prefix maxima of `delta` ends; empty while the delta is short.
+    delta_pme: &'a [f64],
 }
 
 impl<'a> SlotQueueOverlay<'a> {
     /// View `base` (the real queue's slots) through `delta` (this
     /// candidate's tentative commits, maintained by
-    /// [`SlotQueueOverlay::commit_into`]).
+    /// [`SlotQueueOverlay::commit_into`]). Probes fold from the first
+    /// slot of both lists.
     pub fn new(base: &'a [Slot], delta: &'a [Slot]) -> Self {
-        Self { base, delta }
+        Self {
+            base,
+            delta,
+            queue: None,
+            base_pme: &[],
+            delta_pme: &[],
+        }
+    }
+
+    /// View the committed `queue` through `delta` with both gap
+    /// indexes armed (module docs). Probes are bitwise-equal to those
+    /// of [`SlotQueueOverlay::new`] over the same slots.
+    pub fn indexed(queue: &'a SlotQueue, delta: &'a OverlayDelta) -> Self {
+        Self {
+            base: queue.slots(),
+            delta: &delta.slots,
+            queue: Some(queue),
+            base_pme: queue.probe_index().unwrap_or(&[]),
+            delta_pme: &delta.pme,
+        }
     }
 
     /// Total number of slots in the merged view.
@@ -74,8 +120,22 @@ impl<'a> SlotQueueOverlay<'a> {
     /// queue.
     pub fn probe(&self, bound: f64, duration: f64) -> f64 {
         debug_assert!(duration >= 0.0);
+        if self.delta.is_empty() {
+            if let Some(q) = self.queue {
+                return q.probe(bound, duration);
+            }
+        }
+        let merged = if self.base_pme.is_empty() && self.delta_pme.is_empty() {
+            self.iter_merged()
+        } else {
+            let (i, j) = self.inert_prefix(bound);
+            Merged {
+                base: &self.base[i..],
+                delta: &self.delta[j..],
+            }
+        };
         let mut candidate = bound;
-        for s in self.iter_merged() {
+        for s in merged {
             if approx_le(candidate + duration, s.start) {
                 return candidate;
             }
@@ -84,6 +144,54 @@ impl<'a> SlotQueueOverlay<'a> {
             }
         }
         candidate
+    }
+
+    /// The prefix pair `(i, j)` a probe at `bound` skips: `base[..i]`
+    /// and `delta[..j]`. Both bounds start at the gap indexes' verdict —
+    /// every skipped slot ends below `bound - EPS`, so it can neither
+    /// fit the transfer (its start lies below the candidate, which
+    /// never drops below `bound`) nor raise the candidate; this is the
+    /// argument [`SlotQueue::probe`]'s own skip rests on. Skipping
+    /// prefixes of *two* lists is exact only if the full merge passes
+    /// through `(i, j)`, i.e. emits every skipped slot before every
+    /// kept one; otherwise the kept slots could fold in another order.
+    /// Two checks, on the same floating-point expressions
+    /// [`Merged`] evaluates, prove it:
+    ///
+    /// * every skipped base slot starts at or below `base_pme[i - 1]`,
+    ///   so `base_pme[i - 1] < delta[j].start - EPS` makes each of them
+    ///   merge before the delta head;
+    /// * every skipped delta slot starts at or below `delta_pme[j - 1]`,
+    ///   so `delta_pme[j - 1] - EPS <= base[i].start` makes each of them
+    ///   merge before the base head.
+    ///
+    /// A failed check shrinks the offending side to the prefix that
+    /// passes, which changes the other side's head, so the two run to
+    /// a fixed point (`(0, 0)` passes trivially). On schedules with
+    /// positive durations it settles in one or two rounds.
+    fn inert_prefix(&self, bound: f64) -> (usize, usize) {
+        let lim = bound - EPS;
+        let mut i = self.base_pme.partition_point(|&e| e < lim);
+        let mut j = self.delta_pme.partition_point(|&e| e < lim);
+        loop {
+            if i > 0 {
+                if let Some(d) = self.delta.get(j) {
+                    let cut = d.start - EPS;
+                    if self.base_pme[i - 1] >= cut {
+                        i = self.base_pme[..i].partition_point(|&e| e < cut);
+                    }
+                }
+            }
+            if j > 0 {
+                if let Some(b) = self.base.get(i) {
+                    if self.delta_pme[j - 1] - EPS > b.start {
+                        j = self.delta_pme[..j].partition_point(|&e| e - EPS <= b.start);
+                        continue;
+                    }
+                }
+            }
+            return (i, j);
+        }
     }
 
     /// Tentatively insert a slot `[start, start + duration)` into
@@ -105,44 +213,7 @@ impl<'a> SlotQueueOverlay<'a> {
         start: f64,
         duration: f64,
     ) {
-        let end = start + duration;
-        let di = delta.partition_point(|s| s.start < start - EPS);
-        let bi = base.partition_point(|s| s.start < start - EPS);
-        // The merged predecessor/successor of the new slot are among
-        // these four (both lists are sorted and non-overlapping).
-        for prev in [
-            di.checked_sub(1).map(|i| &delta[i]),
-            bi.checked_sub(1).map(|i| &base[i]),
-        ]
-        .into_iter()
-        .flatten()
-        {
-            assert!(
-                approx_le(prev.end, start),
-                "overlay slot overlap: {comm} [{start}, {end}) vs {} [{}, {})",
-                prev.comm,
-                prev.start,
-                prev.end
-            );
-        }
-        for next in [delta.get(di), base.get(bi)].into_iter().flatten() {
-            assert!(
-                approx_le(end, next.start),
-                "overlay slot overlap: {comm} [{start}, {end}) vs {} [{}, {})",
-                next.comm,
-                next.start,
-                next.end
-            );
-        }
-        delta.insert(
-            di,
-            Slot {
-                comm,
-                seq,
-                start,
-                end,
-            },
-        );
+        insert_checked(base, delta, comm, seq, start, duration);
     }
 
     /// Replay the merged view into a fresh [`SlotQueue`] (test/debug
@@ -178,6 +249,131 @@ impl<'a> SlotQueueOverlay<'a> {
             prev = Some(s);
         }
         Ok(())
+    }
+}
+
+/// Insert `[start, start + duration)` into `delta` where
+/// [`SlotQueue::commit`] would sort it, after checking it against its
+/// merged neighbours; returns the insertion index.
+fn insert_checked(
+    base: &[Slot],
+    delta: &mut Vec<Slot>,
+    comm: CommId,
+    seq: u32,
+    start: f64,
+    duration: f64,
+) -> usize {
+    let end = start + duration;
+    let di = delta.partition_point(|s| s.start < start - EPS);
+    let bi = base.partition_point(|s| s.start < start - EPS);
+    // The merged predecessor/successor of the new slot are among
+    // these four (both lists are sorted and non-overlapping).
+    for prev in [
+        di.checked_sub(1).map(|i| &delta[i]),
+        bi.checked_sub(1).map(|i| &base[i]),
+    ]
+    .into_iter()
+    .flatten()
+    {
+        assert!(
+            approx_le(prev.end, start),
+            "overlay slot overlap: {comm} [{start}, {end}) vs {} [{}, {})",
+            prev.comm,
+            prev.start,
+            prev.end
+        );
+    }
+    for next in [delta.get(di), base.get(bi)].into_iter().flatten() {
+        assert!(
+            approx_le(end, next.start),
+            "overlay slot overlap: {comm} [{start}, {end}) vs {} [{}, {})",
+            next.comm,
+            next.start,
+            next.end
+        );
+    }
+    delta.insert(
+        di,
+        Slot {
+            comm,
+            seq,
+            start,
+            end,
+        },
+    );
+    di
+}
+
+/// One candidate's private delta over one link: its tentative slots in
+/// real-queue order plus, once it holds [`LONG_DELTA`] slots, the
+/// leftmost prefix maxima of their ends — the same column the
+/// committed queue's gap index keeps — which
+/// [`SlotQueueOverlay::indexed`] skips through.
+#[derive(Clone, Debug, Default)]
+pub struct OverlayDelta {
+    slots: Vec<Slot>,
+    /// Empty while `slots` is shorter than [`LONG_DELTA`]; exactly
+    /// `slots.len()` entries from then on.
+    pme: Vec<f64>,
+}
+
+impl OverlayDelta {
+    /// An empty delta.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The tentative slots in real-queue order.
+    pub fn slots(&self) -> &[Slot] {
+        &self.slots
+    }
+
+    /// True when no slot is tentatively placed.
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// Drop every tentative slot, keeping the buffers.
+    pub fn clear(&mut self) {
+        self.slots.clear();
+        self.pme.clear();
+    }
+
+    /// [`SlotQueueOverlay::commit_into`] plus prefix-max upkeep: the
+    /// column is built once when the delta reaches [`LONG_DELTA`]
+    /// slots and refolded from the insertion point after that, with
+    /// the same bitwise early exit as the queue's gap index (once a
+    /// recomputed entry equals the shifted stored one, the stored tail
+    /// is the fold).
+    pub fn place(&mut self, base: &[Slot], comm: CommId, seq: u32, start: f64, duration: f64) {
+        let di = insert_checked(base, &mut self.slots, comm, seq, start, duration);
+        let n = self.slots.len();
+        if n < LONG_DELTA {
+            return;
+        }
+        let (from, early) = if self.pme.len() + 1 == n {
+            self.pme.insert(di, 0.0);
+            (di, true)
+        } else {
+            self.pme.clear();
+            self.pme.resize(n, 0.0);
+            (0, false)
+        };
+        let mut run = if from > 0 {
+            self.pme[from - 1]
+        } else {
+            f64::NEG_INFINITY
+        };
+        for i in from..n {
+            let end = self.slots[i].end;
+            if end > run {
+                run = end;
+            }
+            if early && i > from && self.pme[i].to_bits() == run.to_bits() {
+                return;
+            }
+            self.pme[i] = run;
+        }
     }
 }
 
@@ -380,6 +576,133 @@ mod tests {
                 ov.probe(0.0, 2.0).to_bits(),
                 "replayed queue probes like the overlay"
             );
+        }
+    }
+
+    /// A gap-indexed queue of `n` slots `[3i, 3i + 2)`.
+    fn striped(n: u64) -> SlotQueue {
+        let mut q = SlotQueue::with_gap_index();
+        for i in 0..n {
+            q.commit(c(i), 0, 3.0 * i as f64, 2.0);
+        }
+        q
+    }
+
+    #[test]
+    fn delta_prefix_max_column_is_the_fold() {
+        let base: Vec<Slot> = Vec::new();
+        let mut delta = OverlayDelta::new();
+        let mut x: u64 = 0x5EED;
+        for k in 0..3 * LONG_DELTA as u64 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            // Disjoint unit cells in scrambled order, varying lengths,
+            // so insertions land everywhere and ends are not monotone
+            // in insertion order.
+            let cell = ((k * 37) % 97) as f64 * 10.0;
+            let dur = ((x >> 33) % 9) as f64;
+            delta.place(&base, c(k), 0, cell, dur);
+            if delta.slots().len() < LONG_DELTA {
+                assert!(delta.pme.is_empty(), "short deltas keep no column");
+                continue;
+            }
+            let mut run = f64::NEG_INFINITY;
+            assert_eq!(delta.pme.len(), delta.slots().len());
+            for (i, s) in delta.slots().iter().enumerate() {
+                if s.end > run {
+                    run = s.end;
+                }
+                assert_eq!(delta.pme[i].to_bits(), run.to_bits(), "step {k}, entry {i}");
+            }
+        }
+        delta.clear();
+        assert!(delta.is_empty() && delta.pme.is_empty());
+    }
+
+    #[test]
+    fn indexed_probe_skips_both_prefixes() {
+        let q = striped(12);
+        let mut delta = OverlayDelta::new();
+        for k in 0..LONG_DELTA as u64 {
+            let start = 100.0 + 2.0 * k as f64;
+            delta.place(q.slots(), c(100 + k), 0, start, 1.0);
+        }
+        let ov = SlotQueueOverlay::indexed(&q, &delta);
+        // Bound 110: base slots ending below it (all 12 end by 35) and
+        // delta slots [100 + 2k, 101 + 2k) ending below it (k < 5)
+        // are inert.
+        assert_eq!(ov.inert_prefix(110.0), (12, 5));
+        let plain = SlotQueueOverlay::new(q.slots(), delta.slots());
+        for bound in [0.0, 20.0, 99.0, 110.0, 140.0] {
+            for dur in [0.5, 1.0, 3.0] {
+                assert_eq!(
+                    ov.probe(bound, dur).to_bits(),
+                    plain.probe(bound, dur).to_bits(),
+                    "bound {bound} dur {dur}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn back_to_back_delta_shrinks_the_base_skip() {
+        // A delta slot starting exactly where a base slot ends merges
+        // *before* it (starts tie within EPS), so that base slot — and
+        // every base slot whose prefix-max end reaches the delta head —
+        // must stay in the walk even though it ends below the bound.
+        let q = striped(10);
+        let mut delta = OverlayDelta::new();
+        delta.place(q.slots(), c(99), 0, 2.0, 1.0);
+        let ov = SlotQueueOverlay::indexed(&q, &delta);
+        assert_eq!(ov.inert_prefix(10.0), (0, 0));
+        let plain = SlotQueueOverlay::new(q.slots(), delta.slots());
+        assert_eq!(
+            ov.probe(10.0, 1.0).to_bits(),
+            plain.probe(10.0, 1.0).to_bits()
+        );
+    }
+
+    #[test]
+    fn both_guards_run_to_a_fixed_point() {
+        // Base [0,2) [3,5) [6,8) then a tail from 12 on; a long delta
+        // of zero-length slots in the first two gaps, a head [8,10)
+        // back to back with [6,8), and a zero-length slot at 8 that
+        // sorts before the head. At bound 9.5 the indexes would skip
+        // base[..3] and delta[..16]; the head [8,10) pulls the base
+        // skip back to [6,8), whose start in turn keeps the slot at 8
+        // (it merges after [6,8)) in the walk.
+        let mut q = SlotQueue::with_gap_index();
+        for (i, start) in [0.0, 3.0, 6.0, 12.0, 15.0, 18.0, 21.0, 24.0]
+            .into_iter()
+            .enumerate()
+        {
+            q.commit(c(i as u64), 0, start, 2.0);
+        }
+        let mut delta = OverlayDelta::new();
+        let mut k = 100;
+        for gap_start in [2.0, 5.0] {
+            for step in 1..9 {
+                if delta.slots().len() < LONG_DELTA - 1 {
+                    delta.place(q.slots(), c(k), 0, gap_start + 0.1 * f64::from(step), 0.0);
+                    k += 1;
+                }
+            }
+        }
+        delta.place(q.slots(), c(200), 0, 8.0, 2.0);
+        delta.place(q.slots(), c(201), 0, 8.0, 0.0);
+        assert_eq!(delta.slots().len(), LONG_DELTA + 1);
+        let ov = SlotQueueOverlay::indexed(&q, &delta);
+        assert_eq!(ov.inert_prefix(9.5), (2, LONG_DELTA - 1));
+        let plain = SlotQueueOverlay::new(q.slots(), delta.slots());
+        for bound in [8.0 - EPS, 8.0, 9.5, 10.0, 11.0] {
+            for dur in [0.0, 1.0, 2.5] {
+                assert_eq!(
+                    ov.probe(bound, dur).to_bits(),
+                    plain.probe(bound, dur).to_bits(),
+                    "bound {bound} dur {dur}"
+                );
+            }
         }
     }
 

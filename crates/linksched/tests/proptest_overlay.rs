@@ -2,11 +2,15 @@
 //! [`SlotQueue`] mutation: the copy-on-write overlay must answer every
 //! probe bitwise identically to a really-mutated queue and, after an
 //! arbitrary probe→commit script, merge to the identical slot sequence
-//! (which is what makes the speculative parallel probe in `es-core`
-//! exact — see DESIGN.md §11).
+//! (which is what makes the overlay probe in `es-core` exact — see
+//! DESIGN.md §11). The indexed overlay (gap-index skips over a long
+//! base and a long delta) must in turn be bitwise-equal to the plain
+//! one, on adversarial scripts with zero-duration slots and starts
+//! within EPS of existing slot boundaries.
 
-use es_linksched::overlay::SlotQueueOverlay;
-use es_linksched::slot::{Slot, SlotQueue};
+use es_linksched::overlay::{OverlayDelta, SlotQueueOverlay, LONG_DELTA};
+use es_linksched::slot::{Slot, SlotQueue, MIN_INDEXED_LEN};
+use es_linksched::time::{approx_le, EPS};
 use es_linksched::CommId;
 use proptest::prelude::*;
 
@@ -23,8 +27,146 @@ fn base_strategy() -> impl Strategy<Value = SlotQueue> {
     })
 }
 
+/// Adversarial probe requests `(kind, x, dur, r)`; see [`request`].
+fn adversarial_script(
+    len: std::ops::Range<usize>,
+) -> impl Strategy<Value = Vec<(u8, f64, f64, u64)>> {
+    prop::collection::vec((0u8..8, 0.0f64..200.0, 0.0f64..12.0, any::<u64>()), len)
+}
+
+/// Turn one scripted request into `(bound, duration)` against the
+/// current slots: half the bounds sit within ±1.5 EPS of an existing
+/// slot's start or end, and a quarter of the durations are zero (an
+/// eighth sub-EPS).
+fn request(kind: u8, x: f64, dur: f64, r: u64, slots: &[Slot]) -> (f64, f64) {
+    let bound = if kind < 4 || slots.is_empty() {
+        x
+    } else {
+        let s = slots[(r >> 8) as usize % slots.len()];
+        let anchor = if kind < 6 { s.end } else { s.start };
+        let steps = [-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5];
+        anchor + steps[(r >> 40) as usize % steps.len()] * EPS
+    };
+    let dur = match r % 8 {
+        0 | 1 => 0.0,
+        2 => 0.4 * EPS,
+        _ => dur,
+    };
+    (bound, dur)
+}
+
+/// Whether [`SlotQueue::commit`] accepts `[start, start + dur)` on
+/// `slots` (its own neighbour check; the overlay applies the same check
+/// to base and delta separately). Next to slots shorter than EPS the
+/// approximate start order lets a first-fit start be rejected — it
+/// sorts *before* the short slot and then overlaps it — and lets the
+/// queue and overlay checks disagree. Such requests are probed but not
+/// committed: the probes are the property under test.
+fn commit_accepts(slots: &[Slot], start: f64, dur: f64) -> bool {
+    let i = slots.partition_point(|s| s.start < start - EPS);
+    (i == 0 || approx_le(slots[i - 1].end, start))
+        && slots.get(i).is_none_or(|n| approx_le(start + dur, n.start))
+}
+
+/// A gap-indexed base queue built from an adversarial script.
+fn indexed_base(ops: &[(u8, f64, f64, u64)]) -> SlotQueue {
+    let mut q = SlotQueue::with_gap_index();
+    for (i, &(kind, x, dur, r)) in ops.iter().enumerate() {
+        let (bound, dur) = request(kind, x, dur, r, q.slots());
+        let start = q.probe(bound, dur);
+        if commit_accepts(q.slots(), start, dur) {
+            q.commit(CommId(i as u64), 0, start, dur);
+        }
+    }
+    q
+}
+
+proptest! {
+    // Enough cases that the EPS-tie merges the guards in
+    // `SlotQueueOverlay::inert_prefix` exist for actually occur.
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// The indexed overlay over a long gap-indexed base and a delta
+    /// driven past [`LONG_DELTA`] answers every probe bitwise like the
+    /// plain overlay over the same slots and like the really mutated
+    /// queue. The merged *order* is not compared here: among slots
+    /// whose starts tie within EPS, zero-length ones can merge in
+    /// another (probe-equivalent) order than the queue holds them; the
+    /// positive-duration property below pins the order.
+    #[test]
+    fn indexed_overlay_probe_matches_plain_and_mutated_queue(
+        base_ops in adversarial_script(MIN_INDEXED_LEN * 2..60),
+        script in adversarial_script(LONG_DELTA * 3..90),
+    ) {
+        let base = indexed_base(&base_ops);
+        prop_assert!(base.probe_index().is_some(), "base must engage its gap index");
+        let mut real = base.clone();
+        let mut delta = OverlayDelta::new();
+        for (k, &(kind, x, dur, r)) in script.iter().enumerate() {
+            let (bound, dur) = request(kind, x, dur, r, real.slots());
+            // A few extra read-only probes around the committed one.
+            for b in [bound, 0.0, bound - EPS, bound + dur, x] {
+                let plain = SlotQueueOverlay::new(base.slots(), delta.slots()).probe(b, dur);
+                let indexed = SlotQueueOverlay::indexed(&base, &delta).probe(b, dur);
+                let want = real.probe(b, dur);
+                prop_assert_eq!(plain.to_bits(), want.to_bits(), "plain probe #{} at {}", k, b);
+                prop_assert_eq!(indexed.to_bits(), want.to_bits(), "indexed probe #{} at {}", k, b);
+            }
+            let start = SlotQueueOverlay::indexed(&base, &delta).probe(bound, dur);
+            if commit_accepts(real.slots(), start, dur)
+                && commit_accepts(base.slots(), start, dur)
+                && commit_accepts(delta.slots(), start, dur)
+            {
+                let comm = CommId(1000 + k as u64);
+                delta.place(base.slots(), comm, k as u32, start, dur);
+                real.commit(comm, k as u32, start, dur);
+            }
+        }
+        prop_assert!(delta.slots().len() >= LONG_DELTA, "delta must engage its prefix-max column");
+        prop_assert_eq!(SlotQueueOverlay::indexed(&base, &delta).len(), real.len());
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// Same property with well-separated positive durations — the
+    /// shape real schedules have — where the skips are long and the
+    /// EPS guards rarely fire; both overlays must still agree with the
+    /// mutated queue at every step, including an empty delta.
+    #[test]
+    fn indexed_overlay_probe_matches_on_positive_durations(
+        base in prop::collection::vec((0.0f64..300.0, 0.5f64..15.0), MIN_INDEXED_LEN..80),
+        script in prop::collection::vec((0.0f64..350.0, 0.5f64..20.0), 0..70),
+    ) {
+        let mut q = SlotQueue::with_gap_index();
+        for (i, (bound, dur)) in base.into_iter().enumerate() {
+            let start = q.probe(bound, dur);
+            q.commit(CommId(i as u64), 0, start, dur);
+        }
+        prop_assert!(q.probe_index().is_some(), "base must engage its gap index");
+        let mut real = q.clone();
+        let mut delta = OverlayDelta::new();
+        for (k, (bound, dur)) in script.into_iter().enumerate() {
+            let plain = SlotQueueOverlay::new(q.slots(), delta.slots()).probe(bound, dur);
+            let indexed = SlotQueueOverlay::indexed(&q, &delta).probe(bound, dur);
+            let want = real.probe(bound, dur);
+            prop_assert_eq!(plain.to_bits(), want.to_bits());
+            prop_assert_eq!(indexed.to_bits(), want.to_bits(), "indexed probe #{}", k);
+            let comm = CommId(1000 + k as u64);
+            delta.place(q.slots(), comm, k as u32, indexed, dur);
+            real.commit(comm, k as u32, want, dur);
+        }
+        let ov = SlotQueueOverlay::indexed(&q, &delta);
+        ov.check_invariants().map_err(TestCaseError::fail)?;
+        prop_assert_eq!(ov.len(), real.len());
+        for (a, b) in ov.iter_merged().zip(real.slots()) {
+            prop_assert_eq!(a.comm, b.comm);
+            prop_assert_eq!(a.seq, b.seq);
+            prop_assert_eq!(a.start.to_bits(), b.start.to_bits());
+            prop_assert_eq!(a.end.to_bits(), b.end.to_bits());
+        }
+    }
 
     /// Drive the same random probe→commit script through a really
     /// mutated clone and through an overlay delta: every probe answer

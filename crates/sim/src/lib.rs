@@ -8,10 +8,10 @@
 //!
 //! * [`stats`] — means, standard deviations, confidence intervals and
 //!   the improvement ratio;
-//! * [`runner`] — a work-stealing-ish parallel map over experiment
-//!   cells (std scoped threads draining a shared atomic work counter),
-//!   because a full paper sweep is thousands of independent
-//!   scheduling runs;
+//! * [`parallel_map`] (re-exported from [`es_runner`]) — a
+//!   work-stealing-ish parallel map over experiment cells (std scoped
+//!   threads draining a shared atomic work counter), because a full
+//!   paper sweep is thousands of independent scheduling runs;
 //! * [`experiment`] — cell and figure definitions, execution, and the
 //!   text tables the CLI prints;
 //! * [`robustness`] — a fault-injection sweep (intensity × scheduler)
@@ -33,11 +33,11 @@ pub mod experiment;
 pub mod online;
 pub mod report;
 pub mod robustness;
-pub mod runner;
 pub mod service;
 pub mod stats;
 
 pub use backends::{compare_backends, BackendCompareSpec, BackendRow};
+pub use es_runner::{parallel_map, try_parallel_map, ItemPanic, Threads};
 pub use experiment::{
     fig1, fig2, fig3, fig4, fig_pair, run_cell, run_cell_adaptive, CellResult, CellSpec,
     FigureParams, FigureResult,
@@ -48,6 +48,5 @@ pub use online::{
 pub use robustness::{
     run_robustness, run_robustness_backend, RobustnessCell, RobustnessSpec, ROBUSTNESS_SCHEDULERS,
 };
-pub use runner::{parallel_map, try_parallel_map, ItemPanic, Threads};
 pub use service::{ServiceMix, ServiceRequest, SERVICE_ALGOS};
 pub use stats::{improvement_percent, Summary};

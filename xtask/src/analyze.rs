@@ -23,7 +23,8 @@
 //!   `String::new`, `vec!`, `format!`, `.to_vec()`, `.to_string()`,
 //!   `.to_owned()`) and no `BTreeMap`/`BTreeSet` access inside the
 //!   loop bodies of the batch-probe hot path (`list.rs` probe walk,
-//!   `slotted.rs` route/placement/rollback machinery — DESIGN.md §16).
+//!   `slotted.rs` route/placement/rollback machinery, `overlay.rs`
+//!   indexed probe — DESIGN.md §16).
 //!
 //! Syntax-aware passes (DESIGN.md §12): N1 nondeterminism taint, N2
 //! epoch discipline, N3 twin drift, N4 unsafe audit, N5 lock
@@ -253,8 +254,9 @@ fn probe_fns(rel: &str) -> &'static [&'static str] {
 }
 
 /// L5 scope: the batch-probe loop bodies of the arena/SoA hot path
-/// (DESIGN.md §16) — the per-candidate probe walk in `list.rs` plus
-/// the per-hop route/placement/rollback machinery in `slotted.rs`.
+/// (DESIGN.md §16) — the per-candidate probe walk in `list.rs`, the
+/// per-hop route/placement/rollback machinery in `slotted.rs` and the
+/// indexed overlay probe in `overlay.rs`.
 fn batch_probe_fns(rel: &str) -> &'static [&'static str] {
     match rel {
         "crates/core/src/list.rs" => &[
@@ -268,14 +270,12 @@ fn batch_probe_fns(rel: &str) -> &'static [&'static str] {
             "schedule_comm",
             "pick_route_into",
             "place_on_route",
-            "warm_route_searches",
-            "snap_save",
             "restore",
-            "pick_restore_mode",
             "unschedule",
             "release_comms",
             "route_for",
         ],
+        "crates/linksched/src/overlay.rs" => &["probe", "inert_prefix", "place"],
         _ => &[],
     }
 }

@@ -78,7 +78,7 @@ SYNTAX-AWARE PASSES (DESIGN.md §12):
                thread ids, pointer-as-int, or unordered float
                reductions reachable from schedule/execute/repair
   N2  ES-A020  epoch discipline: SlotQueue mutation sites pair with
-               touch()/cache invalidation (route-cache soundness);
+               touch()/cache invalidation (link-state epoch soundness);
       ES-A021  LinkModel mutator impls in es-linksched bump the epoch
                or delegate to a mutator that does
   N3  ES-A030  twin drift: TWIN-delimited reference/optimized regions

@@ -1,11 +1,14 @@
 //! **N2 — epoch discipline** (`ES-A020`).
 //!
-//! The PR 4 cacheability-window invariant: the route cache is keyed on
-//! the link-state epoch, so every function in `crates/core/src/` that
-//! mutates committed `SlotQueue` state must also bump the epoch
-//! (`touch()`) or invalidate the caches before returning. Until this
-//! pass, the invariant was enforced only by debug checksums at
-//! runtime; here it is structural.
+//! The link-state epoch names the committed link state (the sequential
+//! prober's route cache was once keyed on it; the probe cache has since
+//! moved into overlay lanes, which never see a committed mutation
+//! mid-task), so every function in `crates/core/src/` that mutates
+//! committed `SlotQueue` state must also bump the epoch (`touch()`) or
+//! invalidate the caches before returning — otherwise the epoch keeps
+//! naming a state that no longer exists. Until this pass, the
+//! invariant was enforced only by debug checksums at runtime; here it
+//! is structural.
 //!
 //! Mutators: `commit`, `remove_comm`, `remove_slot_at`, `shift_right`,
 //! `insert_at`, `optimal_insert_with`. Reconcilers: `touch`,
@@ -122,8 +125,8 @@ fn caller_rule(model: &Model) -> Vec<Finding> {
                         message: format!(
                             "`{}` mutates committed link state in `{}` with no \
                              `touch()` / `invalidate_caches()` in the same fn — \
-                             the epoch-keyed route cache would serve stale \
-                             shortest paths (DESIGN.md §12.2/N2)",
+                             the link-state epoch would keep naming a state \
+                             that no longer exists (DESIGN.md §12.2/N2)",
                             c.callee, f.name
                         ),
                     });
