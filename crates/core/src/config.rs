@@ -53,26 +53,28 @@ impl EdgeOrder {
     }
 }
 
-/// How the earliest-finish processor probe runs (DESIGN.md §11).
-/// Purely a performance knob: every variant is bitwise-identical to
-/// the reference mutate-and-rollback probe — overlay lanes probe
-/// copy-on-write overlays of the same committed link state and the
-/// reducer applies the exact sequential tie-break order, so only
-/// wall-clock time changes.
+/// How the earliest-finish processor probe runs (DESIGN.md §11), and
+/// with it which link-state path a run takes. Purely a performance
+/// choice: every variant is bitwise-identical to the reference
+/// mutate-and-rollback probe — overlay lanes probe copy-on-write
+/// overlays of the same committed link state and the reducer applies
+/// the exact sequential tie-break order, so only wall-clock time
+/// changes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ProbeParallelism {
-    /// The mutate-and-rollback probe on the real link queues — the
-    /// differential reference twin ([`Tuning::reference`]).
+    /// The whole differential reference twin ([`Tuning::reference`]):
+    /// the mutate-and-rollback probe on the real link queues, linear
+    /// gap scans and the allocating modified Dijkstra.
     Sequential,
-    /// Overlay probing with the lane count resolved from the
+    /// The optimized path with the lane count resolved from the
     /// environment once per scheduler run
     /// ([`es_runner::Threads::resolve`]: `ES_THREADS` override, else
     /// the CPU count). One lane runs inline on the calling thread and
     /// spawns nothing.
     Auto,
-    /// Overlay probing on exactly `n` lanes (clamped to ≥ 1); one lane
-    /// runs inline. The differential oracle uses `Workers(1)` to pin
-    /// overlay semantics with no thread scheduling in the mix.
+    /// The optimized path on exactly `n` lanes (clamped to ≥ 1); one
+    /// lane runs inline. The differential oracle uses `Workers(1)` to
+    /// pin overlay semantics with no thread scheduling in the mix.
     Workers(usize),
 }
 
@@ -88,43 +90,33 @@ impl ProbeParallelism {
         }
     }
 
-    /// Whether this variant takes the overlay probing path (every
-    /// variant but the reference twin does).
+    /// Whether this variant takes the optimized path — overlay
+    /// probing included (every variant but the reference twin does).
     #[must_use]
     pub fn uses_overlay(self) -> bool {
         !matches!(self, ProbeParallelism::Sequential)
     }
 }
 
-/// Hot-path performance toggles (independent of the algorithmic axes
-/// above). Every combination must produce bitwise-identical schedules;
-/// the differential oracle in `tests/integration_differential.rs` and
-/// the proptests under `crates/core/tests/` enforce this, so these
-/// knobs trade only time and memory, never results.
+/// Hot-path performance tuning, independent of the algorithmic axes
+/// above. It trades only time: every tuning produces bitwise-identical
+/// schedules (the differential oracle in
+/// `tests/integration_differential.rs` and the proptests under
+/// `crates/core/tests/` enforce this). Which accelerations the
+/// optimized path runs is decided from the configuration, not set here
+/// (DESIGN.md §10).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Tuning {
-    /// Memoize modified-Dijkstra search state across the processor
-    /// candidates probed for one ready task (per overlay lane, dropped
-    /// between tasks and never consulted once a candidate has placed a
-    /// tentative slot or on an unsigned adjacency view), and reuse
-    /// hoisted search buffers for searches on the committed state.
-    pub route_cache: bool,
-    /// Use the indexed free-gap search in each link's `SlotQueue`
-    /// ([`es_linksched::SlotQueue::indexed`]) instead of the linear
-    /// first-fit rescan.
-    pub indexed_gaps: bool,
-    /// Run the earliest-finish processor probe over copy-on-write
-    /// link-state overlays (see [`ProbeParallelism`]).
+    /// The probe path and its lane count (see [`ProbeParallelism`]).
     pub parallel_probe: ProbeParallelism,
 }
 
 impl Tuning {
-    /// All optimizations on — the production configuration.
+    /// The optimized path with lanes from the environment — the
+    /// production configuration.
     #[must_use]
     pub fn optimized() -> Self {
         Self {
-            route_cache: true,
-            indexed_gaps: true,
             parallel_probe: ProbeParallelism::Auto,
         }
     }
@@ -134,8 +126,6 @@ impl Tuning {
     #[must_use]
     pub fn reference() -> Self {
         Self {
-            route_cache: false,
-            indexed_gaps: false,
             parallel_probe: ProbeParallelism::Sequential,
         }
     }
@@ -146,6 +136,19 @@ impl Default for Tuning {
     fn default() -> Self {
         Self::optimized()
     }
+}
+
+/// The link-state accelerations one run takes, decided by
+/// [`ListConfig::link_accel`] and nowhere else.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct LinkAccel {
+    /// The optimized link-state path: modified-Dijkstra searches on the
+    /// committed queues reuse hoisted scratch buffers. Off only on the
+    /// reference twin.
+    pub(crate) optimized: bool,
+    /// Link queues carry a gap index
+    /// ([`es_linksched::SlotQueue::with_gap_index`]).
+    pub(crate) gap_index: bool,
 }
 
 /// When a communication may start leaving its source processor.
@@ -250,32 +253,32 @@ pub struct ListConfig {
     pub switching: Switching,
     /// Link insertion policy.
     pub insertion: Insertion,
-    /// Hot-path performance toggles (bitwise-neutral; see [`Tuning`]).
+    /// Hot-path performance tuning (bitwise-neutral; see [`Tuning`]).
     pub tuning: Tuning,
 }
 
 impl ListConfig {
-    /// The tuning this configuration can actually profit from —
-    /// [`ListConfig::tuning`] with structurally useless knobs masked
-    /// off. The gap index amortizes one maintenance refold per queue
+    /// The link-state accelerations a run with this configuration
+    /// takes. [`ProbeParallelism::Sequential`] selects the reference
+    /// twin with none; every other probe mode the optimized path, whose
+    /// queues carry a gap index unless the configuration cannot profit
+    /// from one. The index amortizes one maintenance refold per queue
     /// mutation over the many probes a candidate sweep or an
     /// optimal-insertion scan replays against the same queue state; a
     /// [`ProcSelection::HybridStatic`] scheduler with
     /// [`Insertion::Basic`] (BA-static) probes each queue exactly once
     /// per commit — a 1:1 probe/mutation ratio where maintenance can
-    /// never pay for itself — so `indexed_gaps` is dropped there.
-    /// Time-only by construction: every tuning combination produces
-    /// bitwise-identical schedules (the differential oracle enforces
-    /// it), so masking a knob can never change a result.
-    #[must_use]
-    pub fn effective_tuning(&self) -> Tuning {
-        let mut t = self.tuning;
-        if matches!(self.proc_selection, ProcSelection::HybridStatic)
-            && matches!(self.insertion, Insertion::Basic)
-        {
-            t.indexed_gaps = false;
+    /// never pay for itself — so its queues go without. Time-only by
+    /// construction: every choice here produces bitwise-identical
+    /// schedules (the differential oracle enforces it).
+    pub(crate) fn link_accel(&self) -> LinkAccel {
+        let optimized = self.tuning.parallel_probe.uses_overlay();
+        let commit_only = matches!(self.proc_selection, ProcSelection::HybridStatic)
+            && matches!(self.insertion, Insertion::Basic);
+        LinkAccel {
+            optimized,
+            gap_index: optimized && !commit_only,
         }
-        t
     }
 
     /// Sinnen's Basic Algorithm (§3) in its strong TPDS'05 form: the
@@ -410,36 +413,6 @@ mod tests {
         assert!(ProbeParallelism::Workers(1).uses_overlay());
         assert!(ProbeParallelism::Auto.lanes() >= 1);
         assert!(ProbeParallelism::Auto.uses_overlay());
-    }
-
-    #[test]
-    fn effective_tuning_masks_gap_index_only_for_commit_only_configs() {
-        // BA-static never amortizes index maintenance (one probe per
-        // commit), so the index is masked off; everything else keeps
-        // the knobs it was built with.
-        let mut bs = ListConfig::ba_static();
-        bs.tuning = Tuning::optimized();
-        let eff = bs.effective_tuning();
-        assert!(!eff.indexed_gaps);
-        assert_eq!(
-            Tuning {
-                indexed_gaps: true,
-                ..eff
-            },
-            Tuning::optimized()
-        );
-        for cfg in [
-            ListConfig::ba(),
-            ListConfig::oihsa(),
-            ListConfig::oihsa_probing(),
-        ] {
-            let mut cfg = cfg;
-            cfg.tuning = Tuning::optimized();
-            assert_eq!(cfg.effective_tuning(), Tuning::optimized(), "{}", cfg.name);
-        }
-        // Masking never *adds* a knob.
-        bs.tuning = Tuning::reference();
-        assert_eq!(bs.effective_tuning(), Tuning::reference());
     }
 
     #[test]

@@ -84,8 +84,7 @@ impl Scheduler for ListScheduler {
 
     fn schedule(&self, dag: &TaskGraph, topo: &Topology) -> Result<Schedule, SchedError> {
         let mut procs = ProcState::new(topo);
-        let mut links =
-            SlottedState::with_tuning(topo, dag.edge_count(), self.cfg.effective_tuning());
+        let mut links = SlottedState::new(topo, dag.edge_count(), &self.cfg);
         schedule_onto(&self.cfg, dag, topo, &mut procs, &mut links, 0, 0.0)
     }
 }
@@ -423,7 +422,6 @@ impl<'a> Run<'a> {
         // Immutable shared state for the burst; disjoint from the
         // pool's `&mut` borrow below.
         let base = self.links.queues();
-        let tuning = self.links.tuning();
         let serial = self.probe_serial;
         let topo = self.topo;
         let procs = &self.procs;
@@ -438,7 +436,7 @@ impl<'a> Run<'a> {
             let p = candidates[idx];
             let mut ws = lanes_ws[lane].lock().expect("probe workspace lock");
             ws.begin_candidate(serial);
-            let mut ov = OverlayState::new(base, tuning, &mut ws);
+            let mut ov = OverlayState::new(base, &mut ws);
             let mut out: Result<f64, SchedError> = Ok(0.0);
             let mut data_ready = floor;
             for pe in edges {

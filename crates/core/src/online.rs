@@ -457,8 +457,7 @@ pub fn run_online(
     let mut isolated = Vec::with_capacity(jobs.len());
     for job in jobs {
         let mut procs = ProcState::new(topo);
-        let mut links =
-            SlottedState::with_tuning(topo, job.dag.edge_count(), cfg.scheduler.effective_tuning());
+        let mut links = SlottedState::new(topo, job.dag.edge_count(), &cfg.scheduler);
         let s = schedule_onto(
             &cfg.scheduler,
             &job.dag,
@@ -472,7 +471,7 @@ pub fn run_online(
     }
 
     let mut procs = ProcState::new(topo);
-    let mut links = SlottedState::with_tuning(topo, 0, cfg.scheduler.effective_tuning());
+    let mut links = SlottedState::new(topo, 0, &cfg.scheduler);
     let mut outcomes: Vec<Option<JobOutcome>> = (0..jobs.len()).map(|_| None).collect();
     let mut waiting: Vec<usize> = (0..jobs.len()).collect();
     let mut active: Vec<Active> = Vec::new();

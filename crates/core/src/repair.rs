@@ -41,7 +41,7 @@
 //! moment of the crash". Communications are always re-planned as
 //! slotted (or local) placements, whatever their original kind.
 
-use crate::config::{EdgeOrder, Insertion, Routing, Switching, Tuning};
+use crate::config::{EdgeOrder, Insertion, ListConfig, Routing, Switching, Tuning};
 use crate::diag::Report;
 use crate::exec::FaultPlan;
 use crate::procsched::ProcState;
@@ -304,7 +304,14 @@ fn rebuild(
     tuning: Tuning,
 ) -> Result<Schedule, SchedError> {
     let mut procs = ProcState::new(masked);
-    let mut links = SlottedState::with_tuning(masked, dag.edge_count(), tuning);
+    // The rebuild runs OIHSA's link machinery with `insertion`; its
+    // link state takes that configuration's accelerations.
+    let cfg = ListConfig {
+        insertion,
+        tuning,
+        ..ListConfig::oihsa()
+    };
+    let mut links = SlottedState::new(masked, dag.edge_count(), &cfg);
     let mut placed: Vec<Option<TaskPlacement>> = vec![None; dag.task_count()];
     // In-edge ordering scratch, hoisted out of the task loop
     // (clear-don't-drop; the analyze pass's L4 lint bans per-task

@@ -23,11 +23,12 @@
 //! committed queues through a private copy-on-write [`OverlayState`],
 //! whose [`ProbeWorkspace`] also holds the route cache — the
 //! modified-Dijkstra searches shared by the candidates of one ready
-//! task. With [`Tuning::route_cache`] on, committed-state searches
-//! reuse hoisted scratch buffers. Every answer is bitwise identical to
+//! task. On the optimized path committed-state searches also reuse
+//! hoisted scratch buffers; `ListConfig::link_accel` decides which
+//! accelerations a state runs. Every answer is bitwise identical to
 //! the reference path; the differential oracle enforces this.
 
-use crate::config::{Insertion, Routing, Switching, Tuning};
+use crate::config::{Insertion, ListConfig, Routing, Switching};
 use crate::schedule::SchedError;
 use es_linksched::optimal::{optimal_insert_with, InsertScratch};
 use es_linksched::overlay::{OverlayDelta, SlotQueueOverlay};
@@ -196,7 +197,9 @@ pub struct SlottedState {
     /// Dense arena: lookups are deterministic by construction, which
     /// satisfies the analyze/determinism audits without an ordered map.
     bfs_cache: BfsRouteArena,
-    tuning: Tuning,
+    /// The optimized path ([`crate::config::LinkAccel::optimized`]);
+    /// off on the reference twin.
+    optimized: bool,
     /// Monotonically increasing link-state version: bumped by every
     /// placement and rollback, rewound by [`SlottedState::restore`].
     /// Epoch numbers are never reissued.
@@ -212,21 +215,19 @@ pub struct SlottedState {
 }
 
 impl SlottedState {
-    /// Fresh state: all links idle; capacity for `comm_count`
-    /// communications (one per DAG edge). Uses [`Tuning::default`].
-    pub fn new(topo: &Topology, comm_count: usize) -> Self {
-        Self::with_tuning(topo, comm_count, Tuning::default())
-    }
-
-    /// Fresh state with explicit performance [`Tuning`].
-    pub fn with_tuning(topo: &Topology, comm_count: usize, tuning: Tuning) -> Self {
+    /// Fresh state for a scheduler configured by `cfg`: all links
+    /// idle; capacity for `comm_count` communications (one per DAG
+    /// edge). `cfg` picks the link-state accelerations
+    /// (`ListConfig::link_accel`), never the results.
+    pub fn new(topo: &Topology, comm_count: usize, cfg: &ListConfig) -> Self {
+        let accel = cfg.link_accel();
         Self {
             queues: (0..topo.link_count())
-                .map(|_| SlotQueue::indexed(tuning.indexed_gaps))
+                .map(|_| SlotQueue::indexed(accel.gap_index))
                 .collect(),
             comms: vec![CommRecord::default(); comm_count],
             bfs_cache: BfsRouteArena::new(),
-            tuning,
+            optimized: accel.optimized,
             epoch: 0,
             next_epoch: 1,
             bfs_scratch: BfsScratch::new(),
@@ -235,11 +236,6 @@ impl SlottedState {
             search_scratch: DijkstraScratch::new(),
             route_scratch: Vec::new(),
         }
-    }
-
-    /// The performance tuning this state was built with.
-    pub fn tuning(&self) -> Tuning {
-        self.tuning
     }
 
     /// The slot queue of a link (validators and tests peek at these).
@@ -405,7 +401,7 @@ impl SlottedState {
                 let key = |&(_, f): &(f64, f64)| f;
                 // TWIN(dijkstra-relax): end
 
-                if self.tuning.route_cache {
+                if self.optimized {
                     // The same search over hoisted scratch allocations.
                     dijkstra_route_into_with(
                         topo,
@@ -515,27 +511,13 @@ impl SlottedState {
     ///
     /// Exact only for basic-insertion placements (optimal insertion may
     /// have deferred *other* slots, which are not restored); BA's
-    /// tentative probe therefore always runs with basic insertion.
+    /// tentative probe therefore always runs with basic insertion. Only
+    /// the reference prober rolls back — the optimized one discards
+    /// overlay deltas instead.
     pub fn unschedule(&mut self, comm: CommId) {
         let mut rec = std::mem::take(&mut self.comms[comm.0 as usize]);
-        if self.tuning.indexed_gaps {
-            // The recorded per-hop times pin each slot exactly (optimal
-            // insertion keeps them updated when it defers slots), so a
-            // binary-searched single-slot removal replaces the full
-            // scan. Any miss falls back to the reference path — the
-            // resulting queues are identical either way.
-            for (seq, hop) in rec.route.iter().enumerate() {
-                let queue = &mut self.queues[hop.link.index()];
-                let removed = rec.times[seq]
-                    .is_some_and(|(start, _)| queue.remove_slot_at(comm, seq as u32, start));
-                if !removed {
-                    queue.remove_comm(comm);
-                }
-            }
-        } else {
-            for hop in &rec.route {
-                self.queues[hop.link.index()].remove_comm(comm);
-            }
+        for hop in &rec.route {
+            self.queues[hop.link.index()].remove_comm(comm);
         }
         // Clear-don't-drop: hand the record's buffers back for the
         // next placement of this id instead of deallocating them —
@@ -693,7 +675,6 @@ impl ProbeWorkspace {
 /// very same relax/key closures.
 pub struct OverlayState<'a> {
     base: &'a [SlotQueue],
-    tuning: Tuning,
     ws: &'a mut ProbeWorkspace,
 }
 
@@ -701,9 +682,9 @@ impl<'a> OverlayState<'a> {
     /// Wrap the committed queues and one lane's workspace. The
     /// workspace must have been created for the same link count and
     /// [`ProbeWorkspace::begin_candidate`]-reset by the caller.
-    pub fn new(base: &'a [SlotQueue], tuning: Tuning, ws: &'a mut ProbeWorkspace) -> Self {
+    pub fn new(base: &'a [SlotQueue], ws: &'a mut ProbeWorkspace) -> Self {
         debug_assert_eq!(base.len(), ws.deltas.len(), "queue/workspace link count");
-        Self { base, tuning, ws }
+        Self { base, ws }
     }
 
     /// Probe-only twin of [`SlottedState::schedule_comm`] with
@@ -791,9 +772,7 @@ impl<'a> OverlayState<'a> {
                 // the pristine committed queues, and `begin_candidate`
                 // drops the searches when the task (and so the base)
                 // changes.
-                let cacheable =
-                    self.tuning.route_cache && topo.signature() != 0 && ws.touched.is_empty();
-                if cacheable {
+                if topo.signature() != 0 && ws.touched.is_empty() {
                     let k = WorkerSearchKey {
                         src,
                         est: est.to_bits(),
@@ -816,7 +795,7 @@ impl<'a> OverlayState<'a> {
                         &mut cache.last_mut().expect("just pushed").1
                     };
                     entry.route_to_into(topo, dst, relax, key, out).is_some()
-                } else if self.tuning.route_cache {
+                } else {
                     dijkstra_route_into_with(
                         topo,
                         src,
@@ -828,14 +807,6 @@ impl<'a> OverlayState<'a> {
                         out,
                     )
                     .is_some()
-                } else {
-                    match dijkstra_route(topo, src, dst, (est, est), relax, key) {
-                        Some((route, _)) => {
-                            *out = route;
-                            true
-                        }
-                        None => false,
-                    }
                 }
             }
         }
@@ -868,11 +839,10 @@ impl<'a> OverlayState<'a> {
             let l = hop.link.index();
             let queue = &self.base[l];
             let delta = &mut ws.deltas[l];
-            let start = SlotQueueOverlay::indexed(queue, delta).probe(bound, int);
             if delta.is_empty() {
                 ws.touched.push(l);
             }
-            delta.place(queue.slots(), comm, seq as u32, start, int);
+            let start = delta.place_first_fit(queue, comm, seq as u32, bound, int);
             prev_start = start;
             prev_finish = start + int;
         }
@@ -918,7 +888,16 @@ fn deferrable_times_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Tuning;
     use es_net::Topology;
+
+    /// OIHSA on the reference twin.
+    fn reference() -> ListConfig {
+        ListConfig {
+            tuning: Tuning::reference(),
+            ..ListConfig::oihsa()
+        }
+    }
 
     /// p0 -sw- p1 line with unit speeds.
     fn line() -> Topology {
@@ -938,7 +917,7 @@ mod tests {
     #[test]
     fn single_comm_cut_through() {
         let topo = line();
-        let mut st = SlottedState::new(&topo, 4);
+        let mut st = SlottedState::new(&topo, 4, &ListConfig::oihsa());
         let arrival = st
             .schedule_comm(
                 &topo,
@@ -962,7 +941,7 @@ mod tests {
     #[test]
     fn second_comm_queues_behind_first() {
         let topo = line();
-        let mut st = SlottedState::new(&topo, 4);
+        let mut st = SlottedState::new(&topo, 4, &ListConfig::oihsa());
         st.schedule_comm(
             &topo,
             c(0),
@@ -1002,7 +981,7 @@ mod tests {
         b.add_duplex_cable(p0, sw, 1.0); // slow: int = cost
         b.add_duplex_cable(sw, p1, 4.0); // fast: int = cost/4
         let topo = b.build().unwrap();
-        let mut st = SlottedState::new(&topo, 2);
+        let mut st = SlottedState::new(&topo, 2, &ListConfig::oihsa());
         let arrival = st
             .schedule_comm(
                 &topo,
@@ -1029,7 +1008,7 @@ mod tests {
     #[test]
     fn unschedule_rolls_back_exactly() {
         let topo = line();
-        let mut st = SlottedState::new(&topo, 4);
+        let mut st = SlottedState::new(&topo, 4, &ListConfig::oihsa());
         st.schedule_comm(
             &topo,
             c(0),
@@ -1079,7 +1058,7 @@ mod tests {
         b.add_processor(1.0);
         b.add_processor(1.0);
         let topo = b.build().unwrap();
-        let mut st = SlottedState::new(&topo, 1);
+        let mut st = SlottedState::new(&topo, 1, &ListConfig::oihsa());
         let err = st
             .schedule_comm(
                 &topo,
@@ -1105,7 +1084,7 @@ mod tests {
     #[test]
     fn optimal_insertion_defers_slot_with_downstream_slack() {
         let topo = line();
-        let mut st = SlottedState::new(&topo, 8);
+        let mut st = SlottedState::new(&topo, 8, &ListConfig::oihsa());
         // comm 0: cost 4 over both hops; on the first link it sits at
         // [0,4), on the second [0,4).
         st.schedule_comm(
@@ -1166,7 +1145,7 @@ mod tests {
         b.add_duplex_cable(sw, p1, 1.0);
         b.add_duplex_cable(sw, p2, 1.0);
         let topo = b.build().unwrap();
-        let mut st = SlottedState::new(&topo, 8);
+        let mut st = SlottedState::new(&topo, 8, &ListConfig::oihsa());
 
         // comm 0 congests sw->p1 with [0, 10).
         st.schedule_comm(
@@ -1235,7 +1214,7 @@ mod tests {
     #[test]
     fn deferrable_times_subtract_the_hop_delay() {
         let topo = delayed_line(0.5);
-        let mut st = SlottedState::new(&topo, 4);
+        let mut st = SlottedState::new(&topo, 4, &ListConfig::oihsa());
         // Store-and-forward, cost 4: hop 0 at [0,4), hop 1 at
         // [4.5, 8.5) (full message + 0.5 switch delay).
         st.schedule_comm(
@@ -1269,7 +1248,7 @@ mod tests {
         // squeeze comm 2 in at [0,0.5), and the audit flagged the
         // collapsed gap.
         let topo = delayed_line(0.5);
-        let mut st = SlottedState::new(&topo, 8);
+        let mut st = SlottedState::new(&topo, 8, &ListConfig::oihsa());
         for id in 0..2 {
             st.schedule_comm(
                 &topo,
@@ -1329,7 +1308,7 @@ mod tests {
         b.add_duplex_cable(p0, sb, 1.0);
         b.add_duplex_cable(sb, p1, 1.0);
         let topo = b.build().unwrap();
-        let mut st = SlottedState::new(&topo, 8);
+        let mut st = SlottedState::new(&topo, 8, &ListConfig::oihsa());
 
         // Saturate the sa path.
         st.schedule_comm(
@@ -1382,7 +1361,7 @@ mod tests {
         let topo = b.build().unwrap();
 
         let before = route_cache_stats();
-        let mut st = SlottedState::with_tuning(&topo, 8, Tuning::optimized());
+        let mut st = SlottedState::new(&topo, 8, &ListConfig::oihsa());
         st.schedule_comm(
             &topo,
             c(0),
@@ -1400,7 +1379,7 @@ mod tests {
         let mut arrivals = Vec::new();
         for _candidate in 0..3 {
             ws.begin_candidate(1);
-            let a = OverlayState::new(st.queues(), st.tuning(), &mut ws)
+            let a = OverlayState::new(st.queues(), &mut ws)
                 .schedule_comm(
                     &topo,
                     c(1),
@@ -1430,8 +1409,8 @@ mod tests {
         // consult a search cache: across mutations between calls the
         // optimized tuning must yield exactly the reference answers.
         let topo = line();
-        let mut opt = SlottedState::with_tuning(&topo, 8, Tuning::optimized());
-        let mut refr = SlottedState::with_tuning(&topo, 8, Tuning::reference());
+        let mut opt = SlottedState::new(&topo, 8, &ListConfig::oihsa());
+        let mut refr = SlottedState::new(&topo, 8, &reference());
         for (i, cost) in [5.0, 3.0, 9.0, 2.0].into_iter().enumerate() {
             let a = opt
                 .schedule_comm(
@@ -1472,6 +1451,48 @@ mod tests {
     }
 
     #[test]
+    fn link_accel_indexes_gaps_only_where_probes_amortize_it() {
+        // The one acceleration decision: the reference twin and
+        // BA-static (one probe per commit) keep plain queues; the
+        // optimized BA, OIHSA and OIHSA-probe index their gaps.
+        let topo = line();
+        let n = es_linksched::slot::MIN_INDEXED_LEN + 4;
+        let ba_static = ListConfig::ba_static();
+        for (cfg, indexed) in [
+            (reference(), false),
+            (ba_static, false),
+            (ListConfig::ba(), true),
+            (ListConfig::oihsa(), true),
+            (ListConfig::oihsa_probing(), true),
+        ] {
+            let mut st = SlottedState::new(&topo, n, &cfg);
+            for i in 0..n {
+                st.schedule_comm(
+                    &topo,
+                    c(i as u64),
+                    0.0,
+                    1.0,
+                    ProcId(0),
+                    ProcId(1),
+                    Routing::Bfs,
+                    Insertion::Basic,
+                    Switching::CutThrough,
+                )
+                .unwrap();
+            }
+            let link = st.route_of(c(0))[0].link;
+            assert_eq!(st.queue(link).len(), n);
+            assert_eq!(
+                st.queue(link).probe_index().is_some(),
+                indexed,
+                "{} ({:?})",
+                cfg.name,
+                cfg.tuning
+            );
+        }
+    }
+
+    #[test]
     fn masked_view_invalidates_bfs_cache() {
         // Two disjoint paths; cache a BFS route, then mask the link it
         // used. The next lookup must not serve the stale route.
@@ -1488,7 +1509,7 @@ mod tests {
         let src = topo.node_of_proc(ProcId(0));
         let dst = topo.node_of_proc(ProcId(1));
 
-        let mut st = SlottedState::with_tuning(&topo, 4, Tuning::optimized());
+        let mut st = SlottedState::new(&topo, 4, &ListConfig::oihsa());
         let mut first = Vec::new();
         assert!(st.pick_route_into(
             &topo,
@@ -1545,7 +1566,7 @@ mod tests {
         b.add_duplex_cable(p0, sb, 1.0);
         b.add_duplex_cable(sb, p1, 1.0);
         let topo = b.build().unwrap();
-        let mut st = SlottedState::with_tuning(&topo, 32, Tuning::optimized());
+        let mut st = SlottedState::new(&topo, 32, &ListConfig::oihsa());
         for (i, cost) in [20.0, 7.0].into_iter().enumerate() {
             st.schedule_comm(
                 &topo,
@@ -1597,7 +1618,7 @@ mod tests {
                     // Overlay probes of the same committed state.
                     for &e in &expected {
                         ws.begin_candidate(serial as u64 + 1);
-                        let mut ov = OverlayState::new(st.queues(), st.tuning(), &mut ws);
+                        let mut ov = OverlayState::new(st.queues(), &mut ws);
                         let a = ov
                             .schedule_comm(
                                 &topo,
@@ -1654,7 +1675,7 @@ mod tests {
 
         let mut ws = ProbeWorkspace::new(topo.link_count());
         ws.begin_candidate(1);
-        let mut ov = OverlayState::new(st.queues(), st.tuning(), &mut ws);
+        let mut ov = OverlayState::new(st.queues(), &mut ws);
         for (&(comm, est, cost), &e) in probes.iter().zip(&expected) {
             let a = ov
                 .schedule_comm(
@@ -1672,7 +1693,7 @@ mod tests {
         }
         // A fresh candidate starts from the pristine committed state.
         ws.begin_candidate(1);
-        let mut ov = OverlayState::new(st.queues(), st.tuning(), &mut ws);
+        let mut ov = OverlayState::new(st.queues(), &mut ws);
         let a = ov
             .schedule_comm(
                 &topo,

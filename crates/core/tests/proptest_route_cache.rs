@@ -13,7 +13,7 @@
 
 use es_core::config::{Insertion, Routing, Switching};
 use es_core::slotted::{OverlayState, ProbeWorkspace, SlottedState};
-use es_core::{ProbeParallelism, Tuning};
+use es_core::{ListConfig, ProbeParallelism, Tuning};
 use es_linksched::CommId;
 use es_net::gen::{self, WanConfig};
 use es_net::Topology;
@@ -78,7 +78,7 @@ fn probe_once(
 ) -> Option<u64> {
     let (from, to) = (es_net::ProcId(from as u32), es_net::ProcId(to as u32));
     let got = match ws {
-        Some(ws) => OverlayState::new(st.queues(), st.tuning(), ws).schedule_comm(
+        Some(ws) => OverlayState::new(st.queues(), ws).schedule_comm(
             view,
             comm,
             est,
@@ -112,7 +112,11 @@ fn drive(
 ) -> (SlottedState, Vec<Option<u64>>) {
     // Ids 0..n are real commits; probes take the block above them.
     let n = reqs.len() as u64;
-    let mut st = SlottedState::with_tuning(topo, reqs.len() * 4 + 8, tuning);
+    let cfg = ListConfig {
+        tuning,
+        ..ListConfig::oihsa_probing()
+    };
+    let mut st = SlottedState::new(topo, reqs.len() * 4 + 8, &cfg);
     let overlay = tuning.parallel_probe.uses_overlay();
     let mut ws = ProbeWorkspace::new(topo.link_count());
     let procs = topo.proc_count();
@@ -249,7 +253,6 @@ proptest! {
 
         let lane = Tuning {
             parallel_probe: ProbeParallelism::Workers(1),
-            ..Tuning::optimized()
         };
         let (opt, opt_probes) = drive(&topo, &masked, &reqs, lane);
         let (refr, ref_probes) = drive(&topo, &masked, &reqs, Tuning::reference());

@@ -16,13 +16,15 @@
 //! answers probes by running [`SlotQueue::probe_reference`]'s exact
 //! first-fit fold over the merge of base and delta, and the merge
 //! yields slots in precisely the order [`SlotQueue::commit`] would have
-//! produced had the delta been committed onto the base (commit inserts
-//! at `partition_point(start < new_start - EPS)`, i.e. a later commit
-//! sorts *before* existing slots whose start is within EPS — the merge
-//! therefore prefers the delta side unless the base slot is strictly
-//! earlier). The indexed probe path is bitwise-identical to the
-//! reference fold (DESIGN.md §10), so overlay probes are bitwise-equal
-//! to probes of the mutated real queue in either tuning.
+//! produced had the delta been committed onto the base. An
+//! [`OverlayDelta`] records, for each of its slots, how many base slots
+//! merge in front of it: [`OverlayDelta::place`] inserts at the point
+//! of the merged view where `commit` inserts into the real queue (the
+//! first slot starting at or after the new slot's end, within EPS), so
+//! the two orders agree even among EPS-tied slots shorter than EPS,
+//! whose starts are not sorted. A plain overlay over a bare delta
+//! ([`SlotQueueOverlay::new`]) merges by comparing starts instead,
+//! which agrees with `commit` whenever starts are sorted.
 //!
 //! # Indexed overlays (DESIGN.md §11)
 //!
@@ -56,6 +58,9 @@ pub const LONG_DELTA: usize = 16;
 pub struct SlotQueueOverlay<'a> {
     base: &'a [Slot],
     delta: &'a [Slot],
+    /// Base slots merged in front of each delta slot
+    /// ([`OverlayDelta`]); `None` merges by start comparison.
+    ranks: Option<&'a [u32]>,
     /// The committed queue behind `base` when built by
     /// [`SlotQueueOverlay::indexed`]: an empty delta then probes it
     /// directly, through its own gap index and SoA columns.
@@ -65,6 +70,10 @@ pub struct SlotQueueOverlay<'a> {
     base_pme: &'a [f64],
     /// Prefix maxima of `delta` ends; empty while the delta is short.
     delta_pme: &'a [f64],
+    /// Both lists' starts are non-decreasing, so insertion points are
+    /// binary-searched ([`SlotQueueOverlay::insert_point`]); known for
+    /// indexed overlays only.
+    sorted: bool,
 }
 
 impl<'a> SlotQueueOverlay<'a> {
@@ -76,22 +85,26 @@ impl<'a> SlotQueueOverlay<'a> {
         Self {
             base,
             delta,
+            ranks: None,
             queue: None,
             base_pme: &[],
             delta_pme: &[],
+            sorted: false,
         }
     }
 
     /// View the committed `queue` through `delta` with both gap
-    /// indexes armed (module docs). Probes are bitwise-equal to those
-    /// of [`SlotQueueOverlay::new`] over the same slots.
+    /// indexes armed (module docs). Probes are bitwise-equal to the
+    /// first-fit fold over [`SlotQueueOverlay::iter_merged`].
     pub fn indexed(queue: &'a SlotQueue, delta: &'a OverlayDelta) -> Self {
         Self {
             base: queue.slots(),
             delta: &delta.slots,
+            ranks: Some(&delta.ranks),
             queue: Some(queue),
             base_pme: queue.probe_index().unwrap_or(&[]),
             delta_pme: &delta.pme,
+            sorted: queue.starts_sorted() && !delta.unsorted,
         }
     }
 
@@ -108,10 +121,24 @@ impl<'a> SlotQueueOverlay<'a> {
     /// The merged slots in the order the real queue would hold them
     /// after committing the delta onto the base.
     pub fn iter_merged(&self) -> Merged<'a> {
-        Merged {
+        self.merged_from(0, 0)
+    }
+
+    /// The merged slots from the cut `(i, j)` on: `base[i..]` and
+    /// `delta[j..]`.
+    fn merged_from(&self, i: usize, j: usize) -> Merged<'a> {
+        let mut merged = Merged {
             base: self.base,
             delta: self.delta,
+            ranks: self.ranks,
+            i,
+            j,
+            until: 0,
+        };
+        if let Some(r) = self.ranks {
+            merged.until = r.get(j).map_or(self.base.len(), |&r| r as usize);
         }
+        merged
     }
 
     /// Earliest start `>= bound` of an idle interval of length
@@ -125,77 +152,118 @@ impl<'a> SlotQueueOverlay<'a> {
                 return q.probe(bound, duration);
             }
         }
-        let merged = if self.base_pme.is_empty() && self.delta_pme.is_empty() {
-            self.iter_merged()
-        } else {
-            let (i, j) = self.inert_prefix(bound);
-            Merged {
-                base: &self.base[i..],
-                delta: &self.delta[j..],
-            }
-        };
+        self.probe_cut(bound, duration).0
+    }
+
+    /// [`SlotQueueOverlay::probe`]'s fold over the merged view, plus the
+    /// cut `(base slots, delta slots)` in front of the slot it stopped
+    /// at — where the returned start inserts, since that slot is the
+    /// first one the transfer fits in front of
+    /// ([`SlotQueueOverlay::insert_point`]).
+    fn probe_cut(&self, bound: f64, duration: f64) -> (f64, (usize, usize)) {
+        let lim = bound - EPS;
+        let (i, j) = self.inert_prefix(|e| e < lim);
+        let mut merged = self.merged_from(i, j);
         let mut candidate = bound;
-        for s in merged {
+        loop {
+            let cut = (merged.i, merged.j);
+            let Some(s) = merged.next() else {
+                return (candidate, cut);
+            };
             if approx_le(candidate + duration, s.start) {
-                return candidate;
+                return (candidate, cut);
             }
             if s.end > candidate {
                 candidate = s.end;
             }
         }
-        candidate
     }
 
-    /// The prefix pair `(i, j)` a probe at `bound` skips: `base[..i]`
-    /// and `delta[..j]`. Both bounds start at the gap indexes' verdict —
-    /// every skipped slot ends below `bound - EPS`, so it can neither
-    /// fit the transfer (its start lies below the candidate, which
-    /// never drops below `bound`) nor raise the candidate; this is the
-    /// argument [`SlotQueue::probe`]'s own skip rests on. Skipping
-    /// prefixes of *two* lists is exact only if the full merge passes
-    /// through `(i, j)`, i.e. emits every skipped slot before every
-    /// kept one; otherwise the kept slots could fold in another order.
-    /// Two checks, on the same floating-point expressions
-    /// [`Merged`] evaluates, prove it:
-    ///
-    /// * every skipped base slot starts at or below `base_pme[i - 1]`,
-    ///   so `base_pme[i - 1] < delta[j].start - EPS` makes each of them
-    ///   merge before the delta head;
-    /// * every skipped delta slot starts at or below `delta_pme[j - 1]`,
-    ///   so `delta_pme[j - 1] - EPS <= base[i].start` makes each of them
-    ///   merge before the base head.
-    ///
-    /// A failed check shrinks the offending side to the prefix that
-    /// passes, which changes the other side's head, so the two run to
-    /// a fixed point (`(0, 0)` passes trivially). On schedules with
-    /// positive durations it settles in one or two rounds.
-    fn inert_prefix(&self, bound: f64) -> (usize, usize) {
-        let lim = bound - EPS;
-        let mut i = self.base_pme.partition_point(|&e| e < lim);
-        let mut j = self.delta_pme.partition_point(|&e| e < lim);
-        loop {
-            if i > 0 {
-                if let Some(d) = self.delta.get(j) {
-                    let cut = d.start - EPS;
-                    if self.base_pme[i - 1] >= cut {
-                        i = self.base_pme[..i].partition_point(|&e| e < cut);
-                    }
-                }
-            }
-            if j > 0 {
-                if let Some(b) = self.base.get(i) {
-                    if self.delta_pme[j - 1] - EPS > b.start {
-                        j = self.delta_pme[..j].partition_point(|&e| e - EPS <= b.start);
-                        continue;
-                    }
-                }
-            }
-            return (i, j);
+    /// A cut `(i, j)` of the merged view — `base[..i]` and `delta[..j]`
+    /// come first — in front of which every slot's prefix-max end `e`
+    /// is `inert(e)`. For a probe at `bound`, `inert(e)` is
+    /// `e < bound - EPS`: such a slot starts below `bound - EPS` too,
+    /// so the first-fit walk can neither stop at it (its start lies
+    /// below the candidate, which never drops below the bound) nor
+    /// raise the candidate on it — the argument [`SlotQueue::probe`]'s
+    /// own skip rests on. The gap indexes bound both prefixes (none of
+    /// a short delta is skipped); the ranks then pull the two bounds
+    /// back to a cut the merge passes through: every skipped delta slot
+    /// has at most `i` base slots in front, the delta head at least
+    /// `i`. Without ranks the cut is `(0, 0)`.
+    fn inert_prefix(&self, inert: impl Fn(f64) -> bool) -> (usize, usize) {
+        let Some(ranks) = self.ranks else {
+            return (0, 0);
+        };
+        let mut i = self.base_pme.partition_point(|&e| inert(e));
+        let j = self.delta_pme.partition_point(|&e| inert(e));
+        if let Some(&r) = ranks.get(j) {
+            i = i.min(r as usize);
         }
+        (i, ranks[..j].partition_point(|&r| r as usize <= i))
+    }
+
+    /// Where a slot `[start, start + duration)` goes in the merged
+    /// view, as the cut `(base slots, delta slots)` in front of it:
+    /// before the first slot that it fits in front of
+    /// (`approx_le(end, slot.start)`) — the slot [`SlotQueue::commit`]
+    /// inserts in front of, and for a probed start the slot the
+    /// probe's first-fit walk stopped at. The merged order keeps each
+    /// list's order, so that slot is the earlier of the two lists'
+    /// first such slots, each found by binary search while the list's
+    /// starts are sorted. Next to slots shorter than EPS a list's
+    /// starts can fall out of order (one may precede another starting
+    /// up to EPS earlier); the view is then walked from the
+    /// [`SlotQueueOverlay::inert_prefix`] cut instead.
+    ///
+    /// # Panics
+    /// Panics if the slot in front ends more than EPS after `start`.
+    /// The slot behind starts at or after `end - EPS` by construction.
+    fn insert_point(&self, comm: CommId, start: f64, duration: f64) -> (usize, usize) {
+        let end = start + duration;
+        let fits_before = |s: &Slot| approx_le(end, s.start);
+        let (mut i, mut j) = match self.ranks {
+            Some(ranks) if self.sorted => {
+                let bi = self.base.partition_point(|s| !fits_before(s));
+                let di = self.delta.partition_point(|s| !fits_before(s));
+                let before_bi = ranks.partition_point(|&r| r as usize <= bi);
+                if di < before_bi {
+                    (ranks[di] as usize, di)
+                } else {
+                    (bi, before_bi)
+                }
+            }
+            _ => self.inert_prefix(|e| !approx_le(end, e)),
+        };
+        let mut prev = match (i.checked_sub(1), j.checked_sub(1), self.ranks) {
+            (Some(_), Some(d), Some(r)) if r[d] as usize == i => Some(&self.delta[d]),
+            (Some(b), _, _) => Some(&self.base[b]),
+            (None, d, _) => d.map(|d| &self.delta[d]),
+        };
+        if !self.sorted {
+            let mut merged = self.merged_from(i, j);
+            while let Some(s) = merged.next() {
+                if fits_before(s) {
+                    break;
+                }
+                (i, j, prev) = (merged.i, merged.j, Some(s));
+            }
+        }
+        if let Some(p) = prev {
+            assert!(
+                approx_le(p.end, start),
+                "overlay slot overlap: {comm} [{start}, {end}) vs {} [{}, {})",
+                p.comm,
+                p.start,
+                p.end
+            );
+        }
+        (i, j)
     }
 
     /// Tentatively insert a slot `[start, start + duration)` into
-    /// `delta`, exactly where [`SlotQueue::commit`] would sort it.
+    /// `delta`, where [`SlotQueue::commit`] would sort it as far as the
+    /// plain merge can tell (module docs).
     ///
     /// An associated function rather than a method because probing
     /// borrows many overlays immutably at once (one per route hop)
@@ -213,7 +281,16 @@ impl<'a> SlotQueueOverlay<'a> {
         start: f64,
         duration: f64,
     ) {
-        insert_checked(base, delta, comm, seq, start, duration);
+        let (_, j) = SlotQueueOverlay::new(base, delta).insert_point(comm, start, duration);
+        delta.insert(
+            j,
+            Slot {
+                comm,
+                seq,
+                start,
+                end: start + duration,
+            },
+        );
     }
 
     /// Replay the merged view into a fresh [`SlotQueue`] (test/debug
@@ -252,66 +329,19 @@ impl<'a> SlotQueueOverlay<'a> {
     }
 }
 
-/// Insert `[start, start + duration)` into `delta` where
-/// [`SlotQueue::commit`] would sort it, after checking it against its
-/// merged neighbours; returns the insertion index.
-fn insert_checked(
-    base: &[Slot],
-    delta: &mut Vec<Slot>,
-    comm: CommId,
-    seq: u32,
-    start: f64,
-    duration: f64,
-) -> usize {
-    let end = start + duration;
-    let di = delta.partition_point(|s| s.start < start - EPS);
-    let bi = base.partition_point(|s| s.start < start - EPS);
-    // The merged predecessor/successor of the new slot are among
-    // these four (both lists are sorted and non-overlapping).
-    for prev in [
-        di.checked_sub(1).map(|i| &delta[i]),
-        bi.checked_sub(1).map(|i| &base[i]),
-    ]
-    .into_iter()
-    .flatten()
-    {
-        assert!(
-            approx_le(prev.end, start),
-            "overlay slot overlap: {comm} [{start}, {end}) vs {} [{}, {})",
-            prev.comm,
-            prev.start,
-            prev.end
-        );
-    }
-    for next in [delta.get(di), base.get(bi)].into_iter().flatten() {
-        assert!(
-            approx_le(end, next.start),
-            "overlay slot overlap: {comm} [{start}, {end}) vs {} [{}, {})",
-            next.comm,
-            next.start,
-            next.end
-        );
-    }
-    delta.insert(
-        di,
-        Slot {
-            comm,
-            seq,
-            start,
-            end,
-        },
-    );
-    di
-}
-
 /// One candidate's private delta over one link: its tentative slots in
-/// real-queue order plus, once it holds [`LONG_DELTA`] slots, the
-/// leftmost prefix maxima of their ends — the same column the
-/// committed queue's gap index keeps — which
-/// [`SlotQueueOverlay::indexed`] skips through.
+/// real-queue order, how many base slots merge in front of each, and,
+/// once it holds [`LONG_DELTA`] slots, the leftmost prefix maxima of
+/// their ends — the same column the committed queue's gap index keeps
+/// — which [`SlotQueueOverlay::indexed`] skips through.
 #[derive(Clone, Debug, Default)]
 pub struct OverlayDelta {
     slots: Vec<Slot>,
+    /// Base slots merged in front of each slot (non-decreasing).
+    ranks: Vec<u32>,
+    /// Some start is smaller than the one before it (see
+    /// [`SlotQueueOverlay::insert_point`]).
+    unsorted: bool,
     /// Empty while `slots` is shorter than [`LONG_DELTA`]; exactly
     /// `slots.len()` entries from then on.
     pme: Vec<f64>,
@@ -336,18 +366,73 @@ impl OverlayDelta {
     /// Drop every tentative slot, keeping the buffers.
     pub fn clear(&mut self) {
         self.slots.clear();
+        self.ranks.clear();
         self.pme.clear();
+        self.unsorted = false;
     }
 
-    /// [`SlotQueueOverlay::commit_into`] plus prefix-max upkeep: the
-    /// column is built once when the delta reaches [`LONG_DELTA`]
-    /// slots and refolded from the insertion point after that, with
-    /// the same bitwise early exit as the queue's gap index (once a
-    /// recomputed entry equals the shifted stored one, the stored tail
-    /// is the fold).
-    pub fn place(&mut self, base: &[Slot], comm: CommId, seq: u32, start: f64, duration: f64) {
-        let di = insert_checked(base, &mut self.slots, comm, seq, start, duration);
+    /// Tentatively insert `[start, start + duration)` over the
+    /// committed `base` queue exactly where [`SlotQueue::commit`] would
+    /// insert it into the real queue.
+    ///
+    /// # Panics
+    /// Same contract as [`SlotQueueOverlay::commit_into`].
+    pub fn place(&mut self, base: &SlotQueue, comm: CommId, seq: u32, start: f64, duration: f64) {
+        let cut = SlotQueueOverlay::indexed(base, self).insert_point(comm, start, duration);
+        self.insert_slot(cut, comm, seq, start, duration);
+    }
+
+    /// Basic insertion into the overlay: probe for the earliest start
+    /// at or after `bound` and place the transfer there — what
+    /// [`SlotQueue::probe`] then [`SlotQueue::commit`] do to the real
+    /// queue. The probe's walk already stops where the slot goes.
+    pub fn place_first_fit(
+        &mut self,
+        base: &SlotQueue,
+        comm: CommId,
+        seq: u32,
+        bound: f64,
+        duration: f64,
+    ) -> f64 {
+        let ov = SlotQueueOverlay::indexed(base, self);
+        let (start, cut) = if self.slots.is_empty() {
+            let start = base.probe(bound, duration);
+            (start, ov.insert_point(comm, start, duration))
+        } else {
+            ov.probe_cut(bound, duration)
+        };
+        self.insert_slot(cut, comm, seq, start, duration);
+        start
+    }
+
+    /// Insert `[start, start + duration)` at the merged-view cut
+    /// `(bi, di)`, plus prefix-max upkeep: the column is built once
+    /// when the delta reaches [`LONG_DELTA`] slots and refolded from
+    /// the insertion point after that, with the same bitwise early exit
+    /// as the queue's gap index (once a recomputed entry equals the
+    /// shifted stored one, the stored tail is the fold).
+    fn insert_slot(
+        &mut self,
+        (bi, di): (usize, usize),
+        comm: CommId,
+        seq: u32,
+        start: f64,
+        duration: f64,
+    ) {
+        self.slots.insert(
+            di,
+            Slot {
+                comm,
+                seq,
+                start,
+                end: start + duration,
+            },
+        );
+        self.ranks
+            .insert(di, u32::try_from(bi).expect("base queue fits u32"));
         let n = self.slots.len();
+        self.unsorted |= (di > 0 && self.slots[di - 1].start > start)
+            || (di + 1 < n && start > self.slots[di + 1].start);
         if n < LONG_DELTA {
             return;
         }
@@ -377,45 +462,49 @@ impl OverlayDelta {
     }
 }
 
-/// Iterator over an overlay's merged slots in real-queue order: the
-/// base slot goes first only when strictly earlier than the delta head
-/// (`b.start < d.start - EPS`); otherwise the delta slot does, because
-/// a later [`SlotQueue::commit`] sorts before existing slots whose
-/// start is within EPS of its own.
+/// Iterator over an overlay's merged slots in real-queue order. With
+/// ranks the delta head goes first once its rank's worth of base slots
+/// has gone; without, the base head goes first only when it starts
+/// before the delta head ends (`b.start < d.end - EPS`), because a
+/// later [`SlotQueue::commit`] sorts before existing slots that start
+/// at or after its own end.
 #[derive(Clone, Debug)]
 pub struct Merged<'a> {
     base: &'a [Slot],
     delta: &'a [Slot],
+    ranks: Option<&'a [u32]>,
+    /// Base slots emitted so far.
+    i: usize,
+    /// Delta slots emitted so far.
+    j: usize,
+    /// With ranks: how many base slots go before the delta head (all
+    /// of them once the delta is exhausted).
+    until: usize,
 }
 
 impl<'a> Iterator for Merged<'a> {
     type Item = &'a Slot;
 
     fn next(&mut self) -> Option<&'a Slot> {
-        match (self.base.first(), self.delta.first()) {
-            (Some(b), Some(d)) => {
-                if b.start < d.start - EPS {
-                    self.base = &self.base[1..];
-                    Some(b)
-                } else {
-                    self.delta = &self.delta[1..];
-                    Some(d)
-                }
-            }
-            (Some(b), None) => {
-                self.base = &self.base[1..];
-                Some(b)
-            }
-            (None, Some(d)) => {
-                self.delta = &self.delta[1..];
-                Some(d)
-            }
-            (None, None) => None,
+        let (b, d) = (self.base.get(self.i), self.delta.get(self.j));
+        let base_first = match (self.ranks, b, d) {
+            (Some(_), ..) => self.i < self.until,
+            (None, Some(b), Some(d)) => b.start < d.end - EPS,
+            (None, b, _) => b.is_some(),
+        };
+        if base_first {
+            self.i += 1;
+            return b;
         }
+        self.j += usize::from(d.is_some());
+        if let Some(r) = self.ranks {
+            self.until = r.get(self.j).map_or(self.base.len(), |&r| r as usize);
+        }
+        d
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.base.len() + self.delta.len();
+        let n = self.base.len() - self.i + self.delta.len() - self.j;
         (n, Some(n))
     }
 }
@@ -590,7 +679,7 @@ mod tests {
 
     #[test]
     fn delta_prefix_max_column_is_the_fold() {
-        let base: Vec<Slot> = Vec::new();
+        let base = SlotQueue::new();
         let mut delta = OverlayDelta::new();
         let mut x: u64 = 0x5EED;
         for k in 0..3 * LONG_DELTA as u64 {
@@ -626,13 +715,13 @@ mod tests {
         let mut delta = OverlayDelta::new();
         for k in 0..LONG_DELTA as u64 {
             let start = 100.0 + 2.0 * k as f64;
-            delta.place(q.slots(), c(100 + k), 0, start, 1.0);
+            delta.place(&q, c(100 + k), 0, start, 1.0);
         }
         let ov = SlotQueueOverlay::indexed(&q, &delta);
         // Bound 110: base slots ending below it (all 12 end by 35) and
         // delta slots [100 + 2k, 101 + 2k) ending below it (k < 5)
         // are inert.
-        assert_eq!(ov.inert_prefix(110.0), (12, 5));
+        assert_eq!(ov.inert_prefix(|e| e < 110.0 - EPS), (12, 5));
         let plain = SlotQueueOverlay::new(q.slots(), delta.slots());
         for bound in [0.0, 20.0, 99.0, 110.0, 140.0] {
             for dur in [0.5, 1.0, 3.0] {
@@ -647,63 +736,106 @@ mod tests {
 
     #[test]
     fn back_to_back_delta_shrinks_the_base_skip() {
-        // A delta slot starting exactly where a base slot ends merges
-        // *before* it (starts tie within EPS), so that base slot — and
-        // every base slot whose prefix-max end reaches the delta head —
-        // must stay in the walk even though it ends below the bound.
-        let q = striped(10);
+        // A delta slot [2,3) ending where a zero-length base slot at
+        // 3 - 0.8 EPS starts merges *before* it. At bound 3 + EPS/2
+        // that base slot ends below the cut and the delta slot does
+        // not, so the base skip shrinks back to [0,2).
+        let mut q = SlotQueue::with_gap_index();
+        q.commit(c(0), 0, 0.0, 2.0);
+        q.commit(c(1), 0, 3.0 - 0.8 * EPS, 0.0);
+        for i in 1..9 {
+            q.commit(c(1 + i), 0, 3.0 * i as f64, 2.0);
+        }
         let mut delta = OverlayDelta::new();
-        delta.place(q.slots(), c(99), 0, 2.0, 1.0);
+        delta.place(&q, c(99), 0, 2.0, 1.0);
         let ov = SlotQueueOverlay::indexed(&q, &delta);
-        assert_eq!(ov.inert_prefix(10.0), (0, 0));
-        let plain = SlotQueueOverlay::new(q.slots(), delta.slots());
-        assert_eq!(
-            ov.probe(10.0, 1.0).to_bits(),
-            plain.probe(10.0, 1.0).to_bits()
-        );
+        let order: Vec<CommId> = ov.iter_merged().map(|s| s.comm).take(3).collect();
+        assert_eq!(order, [c(0), c(99), c(1)]);
+        let bound = 3.0 + 0.5 * EPS;
+        assert_eq!(ov.inert_prefix(|e| e < bound - EPS), (1, 0));
+        for b in [bound, 10.0] {
+            assert_eq!(
+                ov.probe(b, 1.0).to_bits(),
+                first_fit(ov.iter_merged(), b, 1.0).to_bits()
+            );
+        }
     }
 
     #[test]
     fn both_guards_run_to_a_fixed_point() {
-        // Base [0,2) [3,5) [6,8) then a tail from 12 on; a long delta
-        // of zero-length slots in the first two gaps, a head [8,10)
-        // back to back with [6,8), and a zero-length slot at 8 that
-        // sorts before the head. At bound 9.5 the indexes would skip
-        // base[..3] and delta[..16]; the head [8,10) pulls the base
-        // skip back to [6,8), whose start in turn keeps the slot at 8
-        // (it merges after [6,8)) in the walk.
+        // Base [0,2) [3,5) [6,8), a zero-length slot at 8, then a tail
+        // from 12 on; a long delta of zero-length slots in the first
+        // two gaps, then D at 8 - EPS/2 and a head H at 8 + 0.7 EPS,
+        // both merged between [6,8) and the base slot at 8 — starts
+        // tied within EPS and not sorted. One guard pulls the base cut
+        // back behind the head, the other the delta cut behind D.
         let mut q = SlotQueue::with_gap_index();
-        for (i, start) in [0.0, 3.0, 6.0, 12.0, 15.0, 18.0, 21.0, 24.0]
-            .into_iter()
-            .enumerate()
+        for (i, (start, dur)) in [
+            (0.0, 2.0),
+            (3.0, 2.0),
+            (6.0, 2.0),
+            (8.0, 0.0),
+            (12.0, 2.0),
+            (15.0, 2.0),
+            (18.0, 2.0),
+            (21.0, 2.0),
+            (24.0, 2.0),
+        ]
+        .into_iter()
+        .enumerate()
         {
-            q.commit(c(i as u64), 0, start, 2.0);
+            q.commit(c(i as u64), 0, start, dur);
         }
         let mut delta = OverlayDelta::new();
         let mut k = 100;
         for gap_start in [2.0, 5.0] {
             for step in 1..9 {
                 if delta.slots().len() < LONG_DELTA - 1 {
-                    delta.place(q.slots(), c(k), 0, gap_start + 0.1 * f64::from(step), 0.0);
+                    delta.place(&q, c(k), 0, gap_start + 0.1 * f64::from(step), 0.0);
                     k += 1;
                 }
             }
         }
-        delta.place(q.slots(), c(200), 0, 8.0, 2.0);
-        delta.place(q.slots(), c(201), 0, 8.0, 0.0);
+        delta.place(&q, c(200), 0, 8.0 - 0.5 * EPS, 0.0);
+        delta.place(&q, c(201), 0, 8.0 + 0.7 * EPS, 0.0);
         assert_eq!(delta.slots().len(), LONG_DELTA + 1);
         let ov = SlotQueueOverlay::indexed(&q, &delta);
-        assert_eq!(ov.inert_prefix(9.5), (2, LONG_DELTA - 1));
-        let plain = SlotQueueOverlay::new(q.slots(), delta.slots());
-        for bound in [8.0 - EPS, 8.0, 9.5, 10.0, 11.0] {
-            for dur in [0.0, 1.0, 2.5] {
+        let order: Vec<CommId> = ov.iter_merged().map(|s| s.comm).skip(17).take(4).collect();
+        assert_eq!(order, [c(2), c(200), c(201), c(3)]);
+        // Cut at 8 + EPS/2: the indexes would skip base[..4] (through
+        // the slot at 8) and delta[..16]; H merges before the slot at
+        // 8, so the base cut falls back to 3.
+        assert_eq!(ov.inert_prefix(|e| e < 8.0 + 0.5 * EPS), (3, LONG_DELTA));
+        // Cut at 8 - EPS/5: the base index stops at [6,8) and the delta
+        // one past D; D merges after [6,8), so the delta cut falls back
+        // in front of D.
+        assert_eq!(
+            ov.inert_prefix(|e| e < 8.0 - 0.2 * EPS),
+            (2, LONG_DELTA - 1)
+        );
+        for b in [8.0 - EPS, 8.0 - 0.5 * EPS, 8.0, 8.0 + 0.8 * EPS, 9.5, 11.0] {
+            for dur in [0.0, 0.4 * EPS, 1.0, 2.5] {
                 assert_eq!(
-                    ov.probe(bound, dur).to_bits(),
-                    plain.probe(bound, dur).to_bits(),
-                    "bound {bound} dur {dur}"
+                    ov.probe(b, dur).to_bits(),
+                    first_fit(ov.iter_merged(), b, dur).to_bits(),
+                    "bound {b} dur {dur}"
                 );
             }
         }
+    }
+
+    /// The reference first-fit fold over `slots`.
+    fn first_fit<'a>(slots: impl Iterator<Item = &'a Slot>, bound: f64, dur: f64) -> f64 {
+        let mut candidate = bound;
+        for s in slots {
+            if approx_le(candidate + dur, s.start) {
+                return candidate;
+            }
+            if s.end > candidate {
+                candidate = s.end;
+            }
+        }
+        candidate
     }
 
     #[test]

@@ -181,6 +181,11 @@ pub struct SlotQueue {
     /// `Some` enables the indexed probe fast path; `None` keeps the
     /// reference first-fit scan. Both produce bitwise-identical probes.
     index: Option<GapIndex>,
+    /// Some start is smaller than the one before it — possible only
+    /// among slots shorter than EPS whose starts tie within EPS (see
+    /// [`SlotQueue::commit`]). Set by the insertion or shift that makes
+    /// it so; cleared when the queue drains.
+    unsorted: bool,
     /// Mutation epoch: strictly increases on every committed-state
     /// mutation (the `LinkModel` invalidation hook, DESIGN.md §14).
     /// Probes never change it. Not part of the content digest.
@@ -374,16 +379,40 @@ impl SlotQueue {
         candidate
     }
 
-    /// Insert a slot `[start, start + duration)` for `comm`.
+    /// Insert a slot `[start, start + duration)` for `comm` before the
+    /// first slot it fits in front of (`approx_le(end, slot.start)`) —
+    /// for a start [`SlotQueue::probe`] returned, the slot its
+    /// first-fit walk stopped at, so every slot in front ends at or
+    /// before `start`. A slot shorter than EPS that ends at `start`
+    /// therefore stays in front of the new one, and a later commit
+    /// sorts before existing slots that start where it ends. That
+    /// ordering can put a slot shorter than EPS before one starting up
+    /// to EPS earlier; once a queue holds such a pair, the position is
+    /// found by a forward walk from past the prefix the gap index
+    /// proves ends, hence starts, too early — otherwise by a binary
+    /// search over the sorted starts.
     ///
     /// # Panics
     /// Panics (in debug and release) if the new slot overlaps an
     /// existing one by more than EPS — callers must only commit starts
     /// obtained from [`SlotQueue::probe`] or the optimal-insertion
     /// engine, so an overlap is a scheduler bug, not an input error.
+    /// The slot behind starts at or after `end - EPS` by construction,
+    /// so only the one in front is checked.
     pub fn commit(&mut self, comm: CommId, seq: u32, start: f64, duration: f64) {
         let end = start + duration;
-        let idx = self.col_start.partition_point(|&s| s < start - EPS);
+        let idx = if self.unsorted {
+            let from = self
+                .probe_index()
+                .map_or(0, |pme| pme.partition_point(|&e| !approx_le(end, e)));
+            let rest = &self.col_start[from..];
+            from + rest
+                .iter()
+                .position(|&s| approx_le(end, s))
+                .unwrap_or(rest.len())
+        } else {
+            self.col_start.partition_point(|&s| !approx_le(end, s))
+        };
         if idx > 0 {
             let prev = &self.slots[idx - 1];
             assert!(
@@ -392,16 +421,6 @@ impl SlotQueue {
                 prev.comm,
                 prev.start,
                 prev.end
-            );
-        }
-        if idx < self.slots.len() {
-            let next = &self.slots[idx];
-            assert!(
-                approx_le(end, next.start),
-                "slot overlap: {comm} [{start}, {end}) vs existing {} [{}, {})",
-                next.comm,
-                next.start,
-                next.end
             );
         }
         self.slots.insert(
@@ -417,6 +436,7 @@ impl SlotQueue {
         self.col_end.insert(idx, end);
         let id = self.arena.intern(comm);
         self.col_comm.insert(idx, id);
+        self.note_order(idx);
         if let Some(ix) = &mut self.index {
             let was_clean = ix.dirty_from == CLEAN;
             ix.pme.insert(idx, 0.0);
@@ -465,6 +485,7 @@ impl SlotQueue {
         self.col_comm.truncate(keep);
         if self.slots.is_empty() {
             self.arena.clear();
+            self.unsorted = false;
         }
         if let Some(ix) = &mut self.index {
             ix.pme.truncate(keep);
@@ -495,6 +516,7 @@ impl SlotQueue {
                 self.col_comm.remove(i);
                 if self.slots.is_empty() {
                     self.arena.clear();
+                    self.unsorted = false;
                 }
                 if let Some(ix) = &mut self.index {
                     let was_clean = ix.dirty_from == CLEAN;
@@ -538,6 +560,7 @@ impl SlotQueue {
         self.slots[idx].end += delta;
         self.col_start[idx] = self.slots[idx].start;
         self.col_end[idx] = self.slots[idx].end;
+        self.note_order(idx);
         if let Some(ix) = &mut self.index {
             if idx < ix.dirty_from {
                 ix.dirty_from = idx;
@@ -555,6 +578,7 @@ impl SlotQueue {
         self.col_end.insert(idx, slot.end);
         let id = self.arena.intern(slot.comm);
         self.col_comm.insert(idx, id);
+        self.note_order(idx);
         if let Some(ix) = &mut self.index {
             ix.pme.insert(idx, 0.0);
             if idx < ix.dirty_from {
@@ -562,6 +586,21 @@ impl SlotQueue {
             }
         }
         self.touch();
+    }
+
+    /// Whether every start is at least the one before it (see
+    /// [`SlotQueue::commit`]).
+    pub(crate) fn starts_sorted(&self) -> bool {
+        !self.unsorted
+    }
+
+    /// Record whether the start just written at `idx` is out of order
+    /// with a neighbour.
+    fn note_order(&mut self, idx: usize) {
+        let s = &self.col_start;
+        if (idx > 0 && s[idx - 1] > s[idx]) || s.get(idx + 1).is_some_and(|&next| s[idx] > next) {
+            self.unsorted = true;
+        }
     }
 
     /// Total busy time on the link (sum of slot lengths).
@@ -595,6 +634,9 @@ impl SlotQueue {
                     s.comm, s.start, s.end
                 ));
             }
+        }
+        if !self.unsorted && self.slots.windows(2).any(|w| w[0].start > w[1].start) {
+            return Err("starts out of order in a queue marked sorted".to_string());
         }
         let n = self.slots.len();
         if self.col_start.len() != n || self.col_end.len() != n || self.col_comm.len() != n {
@@ -713,6 +755,19 @@ mod tests {
         let mut q = SlotQueue::new();
         q.commit(c(1), 0, 0.0, 3.0);
         q.commit(c(2), 0, 2.0, 2.0);
+    }
+
+    #[test]
+    fn commit_accepts_a_probed_start_next_to_a_sub_eps_slot() {
+        // A zero-length slot ends exactly where the probe places the
+        // next transfer: commit must sort the new slot after it.
+        for mut q in [SlotQueue::new(), SlotQueue::with_gap_index()] {
+            q.commit(c(1), 0, 5.0, 0.0);
+            q.commit(c(2), 0, q.probe(5.0, 2.0), 2.0);
+            assert_eq!(q.slots()[0].comm, c(1));
+            assert_eq!(q.slots()[1].comm, c(2));
+            q.check_invariants().unwrap();
+        }
     }
 
     #[test]

@@ -316,8 +316,7 @@ proptest! {
                 _ => {
                     // Targeted single-slot removal on the indexed
                     // queue vs the reference full scan on the plain
-                    // one — the fast path SlottedState::unschedule
-                    // takes under `indexed_gaps`.
+                    // one.
                     if !committed.is_empty() {
                         let c = committed.remove(r as usize % committed.len());
                         let (_, slot) = qp.find(c, 0).expect("committed slot");

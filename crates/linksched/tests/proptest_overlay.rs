@@ -5,8 +5,9 @@
 //! (which is what makes the overlay probe in `es-core` exact — see
 //! DESIGN.md §11). The indexed overlay (gap-index skips over a long
 //! base and a long delta) must in turn be bitwise-equal to the plain
-//! one, on adversarial scripts with zero-duration slots and starts
-//! within EPS of existing slot boundaries.
+//! first-fit fold over its merged slots, and merge in the queue's
+//! exact order, on adversarial scripts with zero-duration slots and
+//! starts within EPS of existing slot boundaries.
 
 use es_linksched::overlay::{OverlayDelta, SlotQueueOverlay, LONG_DELTA};
 use es_linksched::slot::{Slot, SlotQueue, MIN_INDEXED_LEN};
@@ -55,17 +56,19 @@ fn request(kind: u8, x: f64, dur: f64, r: u64, slots: &[Slot]) -> (f64, f64) {
     (bound, dur)
 }
 
-/// Whether [`SlotQueue::commit`] accepts `[start, start + dur)` on
-/// `slots` (its own neighbour check; the overlay applies the same check
-/// to base and delta separately). Next to slots shorter than EPS the
-/// approximate start order lets a first-fit start be rejected — it
-/// sorts *before* the short slot and then overlaps it — and lets the
-/// queue and overlay checks disagree. Such requests are probed but not
-/// committed: the probes are the property under test.
-fn commit_accepts(slots: &[Slot], start: f64, dur: f64) -> bool {
-    let i = slots.partition_point(|s| s.start < start - EPS);
-    (i == 0 || approx_le(slots[i - 1].end, start))
-        && slots.get(i).is_none_or(|n| approx_le(start + dur, n.start))
+/// The first-fit fold over `slots` from the first one — what a plain
+/// (unindexed) overlay probe computes.
+fn first_fit<'a>(slots: impl Iterator<Item = &'a Slot>, bound: f64, dur: f64) -> f64 {
+    let mut candidate = bound;
+    for s in slots {
+        if approx_le(candidate + dur, s.start) {
+            return candidate;
+        }
+        if s.end > candidate {
+            candidate = s.end;
+        }
+    }
+    candidate
 }
 
 /// A gap-indexed base queue built from an adversarial script.
@@ -74,25 +77,22 @@ fn indexed_base(ops: &[(u8, f64, f64, u64)]) -> SlotQueue {
     for (i, &(kind, x, dur, r)) in ops.iter().enumerate() {
         let (bound, dur) = request(kind, x, dur, r, q.slots());
         let start = q.probe(bound, dur);
-        if commit_accepts(q.slots(), start, dur) {
-            q.commit(CommId(i as u64), 0, start, dur);
-        }
+        q.commit(CommId(i as u64), 0, start, dur);
     }
     q
 }
 
 proptest! {
-    // Enough cases that the EPS-tie merges the guards in
+    // Enough cases that the EPS-tie cuts the ranks in
     // `SlotQueueOverlay::inert_prefix` exist for actually occur.
     #![proptest_config(ProptestConfig::with_cases(1024))]
 
     /// The indexed overlay over a long gap-indexed base and a delta
     /// driven past [`LONG_DELTA`] answers every probe bitwise like the
-    /// plain overlay over the same slots and like the really mutated
-    /// queue. The merged *order* is not compared here: among slots
-    /// whose starts tie within EPS, zero-length ones can merge in
-    /// another (probe-equivalent) order than the queue holds them; the
-    /// positive-duration property below pins the order.
+    /// plain fold over its merged slots and like the really mutated
+    /// queue, and every probed start commits on both sides. The merged
+    /// order equals the queue's after every commit, EPS-tied slots
+    /// shorter than EPS (whose starts are not sorted) included.
     #[test]
     fn indexed_overlay_probe_matches_plain_and_mutated_queue(
         base_ops in adversarial_script(MIN_INDEXED_LEN * 2..60),
@@ -106,24 +106,25 @@ proptest! {
             let (bound, dur) = request(kind, x, dur, r, real.slots());
             // A few extra read-only probes around the committed one.
             for b in [bound, 0.0, bound - EPS, bound + dur, x] {
-                let plain = SlotQueueOverlay::new(base.slots(), delta.slots()).probe(b, dur);
-                let indexed = SlotQueueOverlay::indexed(&base, &delta).probe(b, dur);
+                let ov = SlotQueueOverlay::indexed(&base, &delta);
+                let plain = first_fit(ov.iter_merged(), b, dur);
+                let indexed = ov.probe(b, dur);
                 let want = real.probe(b, dur);
                 prop_assert_eq!(plain.to_bits(), want.to_bits(), "plain probe #{} at {}", k, b);
                 prop_assert_eq!(indexed.to_bits(), want.to_bits(), "indexed probe #{} at {}", k, b);
             }
-            let start = SlotQueueOverlay::indexed(&base, &delta).probe(bound, dur);
-            if commit_accepts(real.slots(), start, dur)
-                && commit_accepts(base.slots(), start, dur)
-                && commit_accepts(delta.slots(), start, dur)
-            {
-                let comm = CommId(1000 + k as u64);
-                delta.place(base.slots(), comm, k as u32, start, dur);
-                real.commit(comm, k as u32, start, dur);
+            let start = real.probe(bound, dur);
+            let comm = CommId(1000 + k as u64);
+            let placed = delta.place_first_fit(&base, comm, k as u32, bound, dur);
+            prop_assert_eq!(placed.to_bits(), start.to_bits(), "first-fit placement #{}", k);
+            real.commit(comm, k as u32, start, dur);
+            let ov = SlotQueueOverlay::indexed(&base, &delta);
+            prop_assert_eq!(ov.len(), real.len());
+            for (i, (a, b)) in ov.iter_merged().zip(real.slots()).enumerate() {
+                prop_assert_eq!(a.comm, b.comm, "merged order #{} at {}", k, i);
             }
         }
         prop_assert!(delta.slots().len() >= LONG_DELTA, "delta must engage its prefix-max column");
-        prop_assert_eq!(SlotQueueOverlay::indexed(&base, &delta).len(), real.len());
     }
 }
 
@@ -154,7 +155,7 @@ proptest! {
             prop_assert_eq!(plain.to_bits(), want.to_bits());
             prop_assert_eq!(indexed.to_bits(), want.to_bits(), "indexed probe #{}", k);
             let comm = CommId(1000 + k as u64);
-            delta.place(q.slots(), comm, k as u32, indexed, dur);
+            delta.place(&q, comm, k as u32, indexed, dur);
             real.commit(comm, k as u32, want, dur);
         }
         let ov = SlotQueueOverlay::indexed(&q, &delta);

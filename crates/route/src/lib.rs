@@ -559,31 +559,6 @@ impl<S: Clone> IncrementalDijkstra<S> {
             .expect("settled node has state");
         Some(state)
     }
-
-    /// Batch pre-advance: settle *every* listed destination in one
-    /// wavefront pass (stopping early once the heap exhausts — any
-    /// destination still unsettled then is unreachable). Subsequent
-    /// [`IncrementalDijkstra::route_to`] calls for these destinations
-    /// are pure reconstructions with no further frontier work.
-    ///
-    /// Because the settle trajectory is destination-independent,
-    /// pre-advancing changes no answer: a later query reads exactly the
-    /// state a fresh targeted search would have computed. This is the
-    /// multi-destination completion of the search: the probe loop calls
-    /// it once per ready task with all candidate destinations.
-    pub fn settle_many(
-        &mut self,
-        topo: &Topology,
-        dsts: &[NodeId],
-        mut relax: impl FnMut(&S, &Hop) -> S,
-        key: impl Fn(&S) -> f64,
-    ) {
-        for &to in dsts {
-            if !self.advance_until(topo, to, &mut relax, &key) {
-                return;
-            }
-        }
-    }
 }
 
 /// Hop-count Dijkstra — exists so tests can cross-check BFS and the
@@ -841,48 +816,6 @@ mod tests {
         let fresh = dijkstra_route(&t, src, dst, (3.0, 3.0), relax, key).unwrap();
         assert_eq!(again.0, fresh.0);
         assert_eq!(again.1 .1.to_bits(), fresh.1 .1.to_bits());
-    }
-
-    #[test]
-    fn settle_many_preadvance_changes_no_answer() {
-        // Pre-advancing the frontier over every destination at once
-        // (the batch in-edge probe's warm pass) must leave each
-        // subsequent route_to bitwise identical to a fresh targeted
-        // search — including unreachable destinations.
-        let mut rng = StdRng::seed_from_u64(77);
-        let t = gen::random_switched_wan(&gen::WanConfig::heterogeneous(10), &mut rng);
-        let mut queues: Vec<SlotQueue> = (0..t.link_count()).map(|_| SlotQueue::new()).collect();
-        for (i, q) in queues.iter_mut().enumerate() {
-            if i % 2 == 0 {
-                q.commit(es_linksched::CommId(i as u64), 0, 0.5, 25.0 + i as f64);
-            }
-        }
-        let duration = 4.0;
-        let relax = |&(s, f): &(f64, f64), hop: &es_net::Hop| {
-            let bound = s.max(f - duration);
-            let start = queues[hop.link.index()].probe(bound, duration);
-            (start, (start + duration).max(f))
-        };
-        let key = |&(_, f): &(f64, f64)| f;
-
-        let src = t.node_of_proc(es_net::ProcId(0));
-        let dsts: Vec<es_net::NodeId> = t.proc_ids().map(|p| t.node_of_proc(p)).collect();
-        let mut warmed = IncrementalDijkstra::new(t.node_count(), src, (1.0, 1.0), 1.0);
-        warmed.settle_many(&t, &dsts, relax, key);
-        let mut route = Vec::new();
-        for &dst in &dsts {
-            let fresh = dijkstra_route(&t, src, dst, (1.0, 1.0), relax, key);
-            let state = warmed.route_to_into(&t, dst, relax, key, &mut route);
-            match (fresh, state) {
-                (None, None) => assert!(route.is_empty()),
-                (Some((r1, s1)), Some(s2)) => {
-                    assert_eq!(r1, route, "route to {dst:?}");
-                    assert_eq!(s1.0.to_bits(), s2.0.to_bits());
-                    assert_eq!(s1.1.to_bits(), s2.1.to_bits());
-                }
-                (a, b) => panic!("reachability disagrees: {a:?} vs {b:?}"),
-            }
-        }
     }
 
     #[test]

@@ -19,9 +19,11 @@ pub const MAGIC: [u8; 6] = *b"ESWIRE";
 /// Current protocol version. v2 added `Request.tenant` and the
 /// per-tenant shed counters in `DriverStats`; v3 added
 /// `tuning.snapshot_restore`; v4 dropped it again with the column
-/// snapshot prober it named. Both sides of a stream must speak the
+/// snapshot prober it named; v5 drops `Request.tuning` altogether —
+/// workers schedule with the default tuning, so no request can pick a
+/// probe path or a lane count. Both sides of a stream must speak the
 /// same version (the preamble check rejects mixes).
-pub const PROTOCOL_VERSION: u16 = 4;
+pub const PROTOCOL_VERSION: u16 = 5;
 
 /// Hard ceiling on one frame's payload. A forged length prefix above
 /// this is rejected before allocation; the largest legitimate frames

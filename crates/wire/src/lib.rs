@@ -1,9 +1,12 @@
-//! # es-wire — the es-serve driver/worker wire format (es-wire-v1)
+//! # es-wire — the es-serve driver/worker wire format
 //!
-//! A compact, versioned, binary protocol carrying scheduling requests
-//! (instance specs + tuning), schedules, diagnostics, heartbeats and
-//! service-control frames between the es-serve driver, its worker
-//! processes and its clients (DESIGN.md §13).
+//! A compact, versioned ([`PROTOCOL_VERSION`]), binary protocol
+//! carrying scheduling requests (algorithm + instance spec), schedules,
+//! diagnostics, heartbeats and service-control frames between the
+//! es-serve driver, its worker processes and its clients (DESIGN.md
+//! §13). Requests carry no tuning: performance tuning never changes a
+//! schedule, so workers always run the default one, with lanes set by
+//! their own `ES_THREADS`.
 //!
 //! Design points:
 //!
@@ -38,8 +41,8 @@ pub mod frame;
 pub use codec::{ByteReader, ByteWriter, WireError, MAGIC, MAX_FRAME_LEN, PROTOCOL_VERSION};
 pub use frame::{
     read_frame, read_preamble, write_frame, write_preamble, AlgoId, DriverStats, Frame,
-    RejectReason, Request, ScheduleReply, WireComm, WireFault, WireHop, WireInstance, WireLanes,
-    WirePiece, WireSchedule, WireTask, WireTuning,
+    RejectReason, Request, ScheduleReply, WireComm, WireFault, WireHop, WireInstance, WirePiece,
+    WireSchedule, WireTask,
 };
 
 // The driver moves these across threads and worker boundaries; keep

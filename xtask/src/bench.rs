@@ -625,7 +625,6 @@ const MAX_REPS: usize = 41;
 fn measure(point: &SweepPoint, cfg: ListConfig, reps: usize, threads: usize) -> CaseResult {
     let par_tuning = Tuning {
         parallel_probe: ProbeParallelism::Workers(threads),
-        ..Tuning::optimized()
     };
     let run = |tuning: Tuning| {
         ListScheduler::with_config(ListConfig { tuning, ..cfg }).schedule(&point.dag, &point.topo)
